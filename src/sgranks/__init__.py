@@ -36,12 +36,10 @@ from .endo import (
     phi_of_perm,
 )
 from .ranks import (
-    BoundCheck,
     Budget,
     ConjectureReport,
     RankReport,
     SearchOutcome,
-    independent_gen_bound_check,
     intermediate_rank,
     large_rank,
     lower_rank,

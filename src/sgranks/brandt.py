@@ -11,8 +11,6 @@ from .core import SemigroupTable
 
 THETA = None
 
-BrandtElement = "tuple[int, int] | None"
-
 
 def _check_element(a, n: int) -> None:
     if a is THETA:

@@ -21,13 +21,12 @@ scans largest ids first (see smallest_prime_subset).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import core
-from .core import ResourceLimitError, SemigroupTable
+from . import core, reference
+from .core import SemigroupTable
 from .endo import EndoMonoid, enumerate_endomorphisms_structural
 
 RANK_KEYS = ("r1", "r2", "r3", "r4", "r5")
@@ -135,39 +134,50 @@ class SearchOutcome:
     exact: bool = True
 
 
-def upper_rank(table: SemigroupTable, budget: Budget | None = None) -> SearchOutcome:
-    """r4: a largest independent subset (lex-first among the largest found)."""
+def _walk(
+    table: SemigroupTable, budget: Budget | None, stop_at: int | None = None
+) -> tuple[SearchOutcome, SearchOutcome]:
+    """r4 and r3 from one walk of _independent_sets: (largest, largest generating).
+
+    Only a strictly larger set replaces the one held, so each witness is the
+    lex-first at its size.  The walk ends early at the first independent set of
+    stop_at elements, if given; both outcomes then count as exact, as they do
+    for a complete walk.  A cut budget leaves both inexact.
+    """
     clock = None if budget is None else budget.clock()
-    best: tuple[int, ...] = ()
+    full = (1 << table.size) - 1
+    largest: tuple[int, ...] = ()
+    generating: tuple[int, ...] = ()
     exact = True
     try:
-        for ids, _ in _independent_sets(table, clock):
-            if len(ids) > len(best):
-                best = ids
+        for ids, cl in _independent_sets(table, clock):
+            if len(ids) > len(largest):
+                largest = ids
+                if stop_at is not None and len(ids) >= stop_at:
+                    break
+            if cl == full and len(ids) > len(generating):
+                generating = ids
+        else:
+            # cannot happen: a smallest generating set is independent, because
+            # dropping a redundant member would leave a smaller one
+            if not generating:
+                raise AssertionError("no independent generating set found by a complete search")
     except _Exhausted:
         exact = False
-    return SearchOutcome(len(best), best, exact)
+    return (
+        SearchOutcome(len(largest), largest, exact),
+        SearchOutcome(len(generating), generating, exact),
+    )
+
+
+def upper_rank(table: SemigroupTable, budget: Budget | None = None) -> SearchOutcome:
+    """r4: a largest independent subset (lex-first among the largest found)."""
+    return _walk(table, budget)[0]
 
 
 def intermediate_rank(table: SemigroupTable, budget: Budget | None = None) -> SearchOutcome:
     """r3: a largest independent generating subset."""
-    clock = None if budget is None else budget.clock()
-    full = (1 << table.size) - 1
-    best: tuple[int, ...] = ()
-    found = False
-    exact = True
-    try:
-        for ids, cl in _independent_sets(table, clock):
-            if cl == full and (not found or len(ids) > len(best)):
-                best = ids
-                found = True
-    except _Exhausted:
-        exact = False
-    if not found and exact:
-        # cannot happen: a smallest generating set is independent, because
-        # dropping a redundant member would leave a smaller generating set
-        raise AssertionError("no independent generating set found by a complete search")
-    return SearchOutcome(len(best), best, exact)
+    return _walk(table, budget)[1]
 
 
 def _first_generating(product, n: int, k: int, full: int):
@@ -222,16 +232,22 @@ def small_rank_exhaustive(table: SemigroupTable) -> int:
     return value
 
 
-def small_rank(table: SemigroupTable) -> int:
-    """r1, using the structural shortcut where it applies.
+def _small_rank_with_method(table: SemigroupTable) -> tuple[int, str]:
+    """r1 and the method tag that rank_report shows for it.
 
     In a semigroup with a non-idempotent element a, the pair {a, a*a} (a set of
     size <= 2 contained in many 2-subsets) is dependent, and with at least two
-    elements some 2-subset therefore fails, giving r1 = 1.
+    elements some 2-subset therefore fails, giving r1 = 1.  Bands (and the
+    one-element table) fall back to direct enumeration.
     """
     if table.size >= 2 and not core.is_band(table):
-        return 1
-    return small_rank_exhaustive(table)
+        return 1, "fast-path"
+    return small_rank_exhaustive(table), "exhaustive"
+
+
+def small_rank(table: SemigroupTable) -> int:
+    """r1, using the structural shortcut where it applies."""
+    return _small_rank_with_method(table)[0]
 
 
 def smallest_prime_subset(table: SemigroupTable) -> frozenset[int]:
@@ -260,28 +276,19 @@ def smallest_prime_subset(table: SemigroupTable) -> frozenset[int]:
     raise AssertionError("the full set is always prime")
 
 
-def _large_rank_exhaustive(table: SemigroupTable) -> int:
-    """r5 from its definition: smallest k with every k-subset generating."""
-    n = table.size
-    for k in range(n - 1, 0, -1):
-        if not all(core.is_generating(c, table) for c in combinations(range(n), k)):
-            return k + 1
-    return 1  # even every singleton generates
-
-
 def large_rank(table: SemigroupTable) -> tuple[int, frozenset[int]]:
     """r5 and a minimum prime subset certifying it.
 
     A subset generates iff it meets every prime subset, so the largest
     non-generating subset is the complement of a smallest prime subset and
     r5 = N - |smallest prime subset| + 1.  For tables with at most 10 elements
-    the value is re-derived from the definition by full enumeration, and a
+    the value is re-derived from the definition by the reference oracle, and a
     mismatch raises: it would mean the engine itself is broken.
     """
     prime = smallest_prime_subset(table)
     value = table.size - len(prime) + 1
     if table.size <= 10:
-        check = _large_rank_exhaustive(table)
+        check = reference.subset_flags(table).ranks()["r5"]
         if check != value:
             raise RuntimeError(
                 f"prime-subset formula gave r5={value} but enumeration gave {check}"
@@ -344,12 +351,13 @@ def rank_report(
 ) -> RankReport:
     """Compute the requested ranks (all five by default) with certificates.
 
-    The budget, if any, applies to the r3 and r4 subset searches; when one is
-    cut short its value is reported as a bound and budget_exhausted is set.  A
-    budget-starved r3 or r4 below an already-proven smaller rank is replaced by
-    that rank's witness (sound: an independent generating set is independent),
-    so the reported chain r1 <= r2 <= r3 <= r4 <= r5 always holds; with no
-    budget pressure the chain is re-checked and a violation raises.
+    The budget, if any, applies to the one walk that finds both r3 and r4; when
+    it is cut short their values are reported as bounds and budget_exhausted is
+    set.  A budget-starved r3 or r4 below an already-proven smaller rank is
+    replaced by that rank's witness (sound: an independent generating set is
+    independent), so the reported chain r1 <= r2 <= r3 <= r4 <= r5 always
+    holds; with no budget pressure the chain is re-checked and a violation
+    raises.
     """
     wanted = set(RANK_KEYS) if which is None else set(which)
     unknown = wanted - set(RANK_KEYS)
@@ -362,9 +370,7 @@ def rank_report(
     exhausted = False
 
     if "r1" in wanted:
-        fast = table.size >= 2 and not core.is_band(table)
-        ranks["r1"] = small_rank(table)
-        methods["r1"] = "fast-path" if fast else "exhaustive"
+        ranks["r1"], methods["r1"] = _small_rank_with_method(table)
 
     r2 = None
     if "r2" in wanted or "r3" in wanted or "r4" in wanted:
@@ -377,13 +383,14 @@ def rank_report(
         if not core.is_generating(r2.witness, table):
             raise RuntimeError("r2 certificate failed replay")
 
-    r3 = None
     if "r3" in wanted or "r4" in wanted:
-        r3 = intermediate_rank(table, budget)
+        r4, r3 = _walk(table, budget)
         if not r3.exact:
             exhausted = True
             if r3.value < r2.value:
                 r3 = SearchOutcome(r2.value, r2.witness, False)
+            if r4.value < r3.value:
+                r4 = SearchOutcome(r3.value, r3.witness, False)
     if "r3" in wanted:
         ranks["r3"] = r3.value
         certificates["r3"] = r3.witness
@@ -395,11 +402,6 @@ def rank_report(
             raise RuntimeError("r3 certificate failed replay")
 
     if "r4" in wanted:
-        r4 = upper_rank(table, budget)
-        if not r4.exact:
-            exhausted = True
-            if r4.value < r3.value:
-                r4 = SearchOutcome(r3.value, r3.witness, False)
         ranks["r4"] = r4.value
         certificates["r4"] = r4.witness
         methods["r4"] = "pruned-search"
@@ -485,60 +487,11 @@ def verify_conjecture(
     if len(witness) != n + 2 or not core.is_independent(witness, table):
         raise RuntimeError("guaranteed lower-bound witness failed; engine fault")
 
-    clock = None if budget is None else budget.clock()
-    best: tuple[int, ...] = ()
-    verdict = "confirmed"
-    refutation = None
-    try:
-        for ids, _ in _independent_sets(table, clock):
-            if len(ids) > len(best):
-                best = ids
-                if len(ids) >= n + 3:
-                    if not core.is_independent(ids, table):
-                        raise RuntimeError("refutation candidate failed re-verification")
-                    verdict = "refuted-with-witness"
-                    refutation = ids
-                    break
-    except _Exhausted:
-        verdict = "inconclusive"
-    return ConjectureReport(n, n + 2, witness, verdict, best, refutation)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Outcome of the exhaustive independent-generating-set size check."""
-
-    ok: bool
-    max_size: int
-    witness: tuple[int, ...]
-
-
-def independent_gen_bound_check(
-    n: int,
-    monoid: EndoMonoid | None = None,
-    max_n: int = 3,
-) -> BoundCheck:
-    """Enumerate every independent generating subset of End(B_n) outright and
-    check the largest has at most n + 1 elements.
-
-    Deliberately avoids the pruned search machinery: this is the slow second
-    route that the fast route is compared against.  Exponential in n! + n + 1,
-    hence the cap.  For n = 1 the bound does not apply (the only generating
-    subset is the whole 3-element monoid, which is independent), so ok reports
-    whether that degenerate value is what we found.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds the exhaustive-subset cap n <= {max_n}")
-    m = monoid if monoid is not None else enumerate_endomorphisms_structural(n)
-    table = m.table
-    size = table.size
-    best: tuple[int, ...] = ()
-    for k in range(1, size + 1):
-        for combo in combinations(range(size), k):
-            if core.is_generating(combo, table) and core.is_independent(combo, table):
-                best = combo
-                break  # only the size matters; first witness per size suffices
-    limit = n + 1 if n >= 2 else size
-    return BoundCheck(len(best) <= limit, len(best), best)
+    best, _ = _walk(table, budget, stop_at=n + 3)
+    if best.value >= n + 3:
+        if not core.is_independent(best.witness, table):
+            raise RuntimeError("refutation candidate failed re-verification")
+        verdict = "refuted-with-witness"
+        return ConjectureReport(n, n + 2, witness, verdict, best.witness, best.witness)
+    verdict = "confirmed" if best.exact else "inconclusive"
+    return ConjectureReport(n, n + 2, witness, verdict, best.witness)

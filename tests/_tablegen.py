@@ -67,11 +67,20 @@ def random_semigroup_pool(count=50, seed=20260823):
     return pool
 
 
+def null_semigroup(size):  # every product is 0
+    return SemigroupTable.from_rows([[0] * size] * size)
+
+
+def left_zero_band(size):  # a*b = a, so every subset is closed
+    return SemigroupTable.from_rows([[a] * size for a in range(size)])
+
+
+def cyclic_group(order):  # Z/order under addition
+    return SemigroupTable.from_rows([[(a + b) % order for b in range(order)] for a in range(order)])
+
+
 def special_tables():
     """Hand-picked degenerate shapes the searches must not trip over."""
-    null3 = SemigroupTable.from_rows([[0] * 3] * 3)  # everything multiplies to 0
-    left_zero = SemigroupTable.from_rows([[a] * 4 for a in range(4)])
     right_zero = SemigroupTable.from_rows([list(range(4)) for _ in range(4)])
-    c4 = SemigroupTable.from_rows([[(a + b) % 4 for b in range(4)] for a in range(4)])
     one = SemigroupTable.from_rows([[0]])
-    return [null3, left_zero, right_zero, c4, one]
+    return [null_semigroup(3), left_zero_band(4), right_zero, cyclic_group(4), one]

@@ -5,10 +5,8 @@ for slow machines; the searches themselves finish orders of magnitude faster.
 
 import random
 import time
-from itertools import combinations
 
 from sgranks.core import (
-    closure,
     is_generating,
     is_independent,
     is_prime_subset,
@@ -16,8 +14,6 @@ from sgranks.core import (
 from sgranks.endo import enumerate_endomorphisms_oracle
 from sgranks.ranks import (
     Budget,
-    _large_rank_exhaustive,
-    independent_gen_bound_check,
     intermediate_rank,
     rank_report,
     small_rank,
@@ -26,6 +22,7 @@ from sgranks.ranks import (
     upper_rank,
     verify_conjecture,
 )
+from sgranks.reference import subset_flags
 from sgranks.verify import (
     generating_witness_ids,
     independent_generating_witness_ids,
@@ -90,8 +87,7 @@ def test_criterion_4_intermediate_rank(monoids):
         assert is_independent(witness, monoids[n].table)
         assert is_generating(witness, monoids[n].table)
     for n in (2, 3):  # full subset enumeration, at most 2^10 subsets
-        res = independent_gen_bound_check(n, monoid=monoids[n])
-        assert res.ok and res.max_size == n + 1
+        assert subset_flags(monoids[n].table).ranks()["r3"] == n + 1
     t0 = time.monotonic()
     out4 = intermediate_rank(monoids[4].table)
     elapsed = time.monotonic() - t0
@@ -109,14 +105,7 @@ def test_criterion_5_upper_rank_and_conjecture(monoids):
     # definitive values by direct subset enumeration (32 and 1024 subsets)
     for n, expected in ((2, 4), (3, 5)):
         table = monoids[n].table
-        size = table.size
-        best = max(
-            len(c)
-            for k in range(size + 1)
-            for c in combinations(range(size), k)
-            if is_independent(c, table)
-        )
-        assert best == expected
+        assert subset_flags(table).ranks()["r4"] == expected
         assert upper_rank(table).value == expected
     t0 = time.monotonic()
     conj = verify_conjecture(4, budget=Budget(seconds=600.0), monoid=monoids[4])
@@ -140,7 +129,7 @@ def test_criterion_6_large_rank(monoids):
         report = rank_report(m.table, n=n, which=["r5"])
         assert report.ranks["r5"] == expected
     for n in (2, 3):
-        assert _large_rank_exhaustive(monoids[n].table) == len(monoids[n])
+        assert subset_flags(monoids[n].table).ranks()["r5"] == len(monoids[n])
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     report_line(6, f"smallest prime subset is the zero constant and r5 = 5, 10, 29 "
@@ -163,7 +152,6 @@ def test_criterion_8_engine_soundness(monoids, b_tables, random_tables):
     tables += list(b_tables.values())
     tables += list(random_tables)
 
-    replayed = 0
     for table in tables:
         report = rank_report(table)
         r = report.ranks
@@ -173,46 +161,32 @@ def test_criterion_8_engine_soundness(monoids, b_tables, random_tables):
         assert is_generating(report.certificates["r3"], table)
         assert is_independent(report.certificates["r4"], table)
         assert is_prime_subset(report.certificates["r5_prime"], table)
-        replayed += 1
 
-    # closure laws: exhaustive per-subset at N <= 10, exhaustive pairs at N <= 5
+    # closure laws and independence heredity on every subset at N <= 10, with
+    # closures as bitmasks; monotonicity on all pairs at N <= 5, sampled above
     for table in tables:
         size = table.size
         if size > 10:
             continue
-        subsets = [
-            frozenset(a for a in range(size) if bits >> a & 1)
-            for bits in range(1 << size)
-        ]
-        closures = {s: closure(s, table) for s in subsets}
-        for s in subsets:
-            assert s <= closures[s]
-            assert closures[closures[s]] == closures[s]
+        flags = subset_flags(table)
+        closures = flags.closures
+        for s, cl in enumerate(closures):
+            assert s & cl == s
+            assert closures[cl] == cl
         if size <= 5:
-            for u in subsets:
-                for v in subsets:
-                    if u <= v:
-                        assert closures[u] <= closures[v]
+            pairs = [(u, v) for v in range(1 << size) for u in range(v + 1) if u & v == u]
         else:
             rng = random.Random(11)
+            pairs = []
             for _ in range(2000):
-                u_bits = rng.randrange(1 << size)
-                v_bits = u_bits | rng.randrange(1 << size)
-                u = frozenset(a for a in range(size) if u_bits >> a & 1)
-                v = frozenset(a for a in range(size) if v_bits >> a & 1)
-                assert closures[u] <= closures[v]
-
-    # independence heredity: drop any one element, stay independent
-    for table in tables:
-        size = table.size
-        if size > 10:
-            continue
-        for bits in range(1 << size):
-            subset = [a for a in range(size) if bits >> a & 1]
-            if is_independent(subset, table):
-                for a in subset:
-                    rest = [x for x in subset if x != a]
-                    assert is_independent(rest, table)
+                u = rng.randrange(1 << size)
+                pairs.append((u, u | rng.randrange(1 << size)))
+        for u, v in pairs:
+            assert closures[u] & closures[v] == closures[u]
+        # drop any one element of an independent set and it stays independent
+        for s, independent in enumerate(flags.independent):
+            if independent:
+                assert all(flags.independent[s & ~(1 << a)] for a in range(size) if s >> a & 1)
 
     report_line(8, f"chain, closure laws, heredity and certificate replay on "
-                   f"{replayed} tables ({len(random_tables)} random)")
+                   f"{len(tables)} tables ({len(random_tables)} random)")

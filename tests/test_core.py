@@ -15,6 +15,7 @@ from sgranks.core import (
     restrict,
     validate,
 )
+from sgranks.reference import subset_flags
 
 from _tablegen import random_semigroup_pool
 
@@ -174,15 +175,9 @@ def test_closure_monotone(idx, data):
 def test_independence_hereditary_exhaustively_on_pool():
     for table in POOL:
         n = table.size
-        independent = [
-            bits
-            for bits in range(1 << n)
-            if is_independent([a for a in range(n) if bits >> a & 1], table)
-        ]
-        flags = set(independent)
-        for bits in independent:
-            live = bits
-            while live:
-                low = live & -live
-                assert (bits ^ low) in flags
-                live ^= low
+        flags = subset_flags(table).independent
+        for bits, independent in enumerate(flags):
+            subset = [a for a in range(n) if bits >> a & 1]
+            assert is_independent(subset, table) == independent
+            if independent:
+                assert all(flags[bits ^ (1 << a)] for a in subset)

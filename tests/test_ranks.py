@@ -1,18 +1,13 @@
-from itertools import combinations
-
 import pytest
 
 from sgranks.core import (
     ResourceLimitError,
-    SemigroupTable,
     is_generating,
     is_independent,
     is_prime_subset,
 )
 from sgranks.ranks import (
     Budget,
-    _large_rank_exhaustive,
-    independent_gen_bound_check,
     intermediate_rank,
     large_rank,
     lower_rank,
@@ -23,37 +18,13 @@ from sgranks.ranks import (
     upper_rank,
     verify_conjecture,
 )
+from sgranks.reference import subset_flags
 
-from _tablegen import special_tables
+from _tablegen import cyclic_group, left_zero_band, null_semigroup, special_tables
 
 
-def brute_ranks(table):
-    """All five ranks straight from the definitions, one subset at a time.
-
-    Exponential and proud of it; the reference the search engine must match.
-    """
-    n = table.size
-    ids = range(n)
-    independent = {}
-    generating = {}
-    for k in range(n + 1):
-        for c in combinations(ids, k):
-            independent[c] = is_independent(c, table)
-            generating[c] = is_generating(c, table)
-    r1 = max(
-        k
-        for k in range(1, n + 1)
-        if all(independent[c] for c in combinations(ids, k))
-    )
-    r2 = min(len(c) for c, g in generating.items() if g)
-    r3 = max(len(c) for c in generating if generating[c] and independent[c])
-    r4 = max(len(c) for c, i in independent.items() if i)
-    r5 = min(
-        k
-        for k in range(1, n + 1)
-        if all(generating[c] for c in combinations(ids, k))
-    )
-    return {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5}
+def ids_of(mask):
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
 
 
 # --- frozen values ----------------------------------------------------------
@@ -66,11 +37,21 @@ END_B_RANKS = {
 }
 
 
+# certificates of the complete searches, which are lex-first at their size
+END_B_CERTIFICATES = {
+    3: {"r2": (1, 2, 6, 9), "r3": (1, 2, 6, 9), "r4": (0, 6, 7, 8, 9), "r5_prime": (9,)},
+    4: {"r2": (1, 8, 24, 28), "r3": (1, 2, 6, 24, 28), "r4": (0, 24, 25, 26, 27, 28),
+        "r5_prime": (28,)},
+}
+
+
 def test_end_bn_rank_reports(monoids):
     for n, m in monoids.items():
         report = rank_report(m.table, n=n)
         assert report.ranks == END_B_RANKS[n], f"n={n}"
         assert not report.budget_exhausted
+        if n in END_B_CERTIFICATES:
+            assert report.certificates == END_B_CERTIFICATES[n], f"n={n}"
 
 
 def test_end_b2_witnesses(monoids):
@@ -85,19 +66,19 @@ def test_end_b2_witnesses(monoids):
 
 def test_brute_force_agreement_on_end_b2(monoids):
     table = monoids[2].table
-    assert brute_ranks(table) == END_B_RANKS[2]
+    assert subset_flags(table).ranks() == END_B_RANKS[2]
 
 
 def test_brute_force_agreement_on_end_b3(monoids):
     table = monoids[3].table
-    assert brute_ranks(table) == END_B_RANKS[3]
+    assert subset_flags(table).ranks() == END_B_RANKS[3]
 
 
 def test_brandt_tables_have_sound_reports(b_tables):
     # engine-vs-definition agreement on the Brandt tables themselves
     for n, table in b_tables.items():
         report = rank_report(table)
-        assert report.ranks == brute_ranks(table), f"B_{n}"
+        assert report.ranks == subset_flags(table).ranks(), f"B_{n}"
 
 
 def test_b1_ranks_all_two(b_tables):
@@ -120,10 +101,11 @@ def test_lower_rank_reports_lex_first_witness(monoids):
     assert out3.value == 4
     assert is_generating(out3.witness, monoids[3].table)
     # nothing lexicographically earlier of that size generates
-    for c in combinations(range(10), 4):
-        if c == out3.witness:
-            break
-        assert not is_generating(c, monoids[3].table)
+    flags = subset_flags(monoids[3].table)
+    assert not any(
+        gen and mask.bit_count() == 4 and ids_of(mask) < out3.witness
+        for mask, gen in enumerate(flags.generating)
+    )
 
 
 def test_intermediate_witnesses_replay(monoids):
@@ -139,6 +121,10 @@ def test_upper_rank_values(monoids):
     assert upper_rank(monoids[2].table).value == 4
     assert upper_rank(monoids[3].table).value == 5
     assert upper_rank(monoids[4].table).value == 6
+    # C_6 has two largest independent sets, {2, 3} and {3, 4}, both generating:
+    # the lex-first one is the witness for r3 and r4 alike
+    c6 = cyclic_group(6)
+    assert upper_rank(c6).witness == intermediate_rank(c6).witness == (2, 3)
 
 
 def test_prime_subsets_of_b2(b_tables):
@@ -166,7 +152,7 @@ def test_smallest_prime_prefers_zero_constant(monoids):
         value, prime = large_rank(m.table)
         assert prime == {m.zero_id}
         assert value == len(m)
-        assert _large_rank_exhaustive(m.table) == value
+        assert subset_flags(m.table).ranks()["r5"] == value
 
 
 def test_budget_exhaustion_flags_bounds(monoids):
@@ -182,6 +168,19 @@ def test_budget_exhaustion_flags_bounds(monoids):
     assert ranks["r1"] <= ranks["r2"] <= ranks["r3"] <= ranks["r4"] <= ranks["r5"]
     assert is_independent(report.certificates["r4"], table)
     assert is_generating(report.certificates["r2"], table)
+    # r3 and r4 share one walk; under a node budget it is cut exactly where
+    # each of the two separate walks used to be.  At 3 nodes both fall back
+    # to the r2 witness.
+    sweep = {
+        3: (4, (1, 2, 6, 9), 4, (1, 2, 6, 9)),
+        20: (4, (1, 2, 6, 9), 5, (0, 6, 7, 8, 9)),
+        100: (4, (1, 2, 6, 9), 5, (0, 6, 7, 8, 9)),
+    }
+    for max_nodes, expected in sweep.items():
+        report = rank_report(table, budget=Budget(seconds=None, max_nodes=max_nodes), n=3)
+        r, c = report.ranks, report.certificates
+        assert (r["r3"], c["r3"], r["r4"], c["r4"]) == expected, max_nodes
+        assert report.budget_exhausted
 
 
 def test_rank_report_which_filter(monoids):
@@ -202,14 +201,27 @@ def test_rank_report_serialization(monoids):
     assert set(data["methods"]) == {"r1", "r2", "r3", "r4", "r5"}
 
 
-def test_independent_gen_bound_check(monoids):
-    for n in (2, 3):
-        res = independent_gen_bound_check(n, monoid=monoids[n])
-        assert res.ok and res.max_size == n + 1
-    degenerate = independent_gen_bound_check(1, monoid=monoids[1])
-    assert degenerate.ok and degenerate.max_size == 3
+# (table, (r1, r2, r3, r4, r5)) for shapes whose ranks have closed forms.  For
+# C_k, r3 = r4 = the number of distinct primes dividing k and r5 = 1 + k/p,
+# p the smallest of them: the complement of the largest proper subgroup.
+CLOSED_FORMS = (
+    [(null_semigroup(size), (1, size - 1, size - 1, size - 1, size)) for size in (2, 3, 5)]
+    + [(left_zero_band(size), (size,) * 5) for size in (1, 4, 6)]
+    + [
+        (cyclic_group(k), (1, 1, primes, primes, r5))
+        for k, primes, r5 in ((2, 1, 2), (4, 1, 3), (6, 2, 4), (9, 1, 4), (12, 2, 7))
+    ]
+)
+
+
+def test_reference_oracle_values(monoids):
+    # largest independent generating subset of End(B_n): n + 1, but 3 for n = 1
+    assert [subset_flags(monoids[n].table).ranks()["r3"] for n in (1, 2, 3)] == [3, 3, 4]
+    for table, expected in CLOSED_FORMS:
+        assert tuple(subset_flags(table).ranks().values()) == expected, table
+        assert tuple(rank_report(table).ranks.values()) == expected, table
     with pytest.raises(ResourceLimitError):
-        independent_gen_bound_check(4, monoid=monoids[4])
+        subset_flags(null_semigroup(13))
 
 
 def test_verify_conjecture_small_n(monoids):
@@ -232,7 +244,7 @@ def test_verify_conjecture_budget_flag(monoids):
 
 def test_search_engine_matches_brute_force_on_random_pool(random_tables):
     for table in random_tables:
-        expected = brute_ranks(table)
+        expected = subset_flags(table).ranks()
         report = rank_report(table)
         assert report.ranks == expected
 
@@ -240,7 +252,7 @@ def test_search_engine_matches_brute_force_on_random_pool(random_tables):
 def test_search_engine_on_degenerate_tables(degenerate_tables):
     for table in degenerate_tables:
         report = rank_report(table)
-        assert report.ranks == brute_ranks(table)
+        assert report.ranks == subset_flags(table).ranks()
 
 
 def test_independent_set_enumeration_matches_definition(monoids):
@@ -248,12 +260,8 @@ def test_independent_set_enumeration_matches_definition(monoids):
 
     table = monoids[2].table
     found = {ids for ids, _ in _independent_sets(table)}
-    expected = {
-        c
-        for k in range(6)
-        for c in combinations(range(5), k)
-        if is_independent(c, table)
-    }
+    flags = subset_flags(table)
+    expected = {ids_of(mask) for mask, ind in enumerate(flags.independent) if ind}
     assert found == expected
 
 
