@@ -126,14 +126,10 @@ def cmd_brandt(args) -> int:
 
 
 def cmd_endo(args) -> int:
-    try:
-        if args.oracle:
-            monoid = EndoMonoid(args.n, enumerate_endomorphisms_oracle(args.n))
-        else:
-            monoid = enumerate_endomorphisms_structural(args.n)
-    except ResourceLimitError as exc:
-        print(f"sgranks endo: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.oracle:
+        monoid = EndoMonoid(args.n, enumerate_endomorphisms_oracle(args.n))
+    else:
+        monoid = enumerate_endomorphisms_structural(args.n)
     if args.json:
         _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out)
         _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
@@ -181,11 +177,7 @@ def cmd_ranks(args) -> int:
             return EXIT_ERROR
         n = None
     else:
-        try:
-            table = enumerate_endomorphisms_structural(args.n).table
-        except ResourceLimitError as exc:
-            print(f"sgranks ranks: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        table = enumerate_endomorphisms_structural(args.n).table
         n = args.n
 
     budget = ranks.Budget(seconds=args.budget)
@@ -199,11 +191,7 @@ def cmd_ranks(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = ranks.Budget(seconds=args.budget)
-    try:
-        results = verify.run_checks(args.n, budget=budget)
-    except ResourceLimitError as exc:
-        print(f"sgranks verify: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    results = verify.run_checks(args.n, budget=budget)
     for res in results:
         print(f"{res.status:<8}{res.name}: {res.detail}")
     failed = sum(res.status == verify.FAIL for res in results)
@@ -215,11 +203,7 @@ def cmd_conjecture(args) -> int:
     if args.n < 2:
         print("sgranks conjecture: the size question concerns n >= 2", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        monoid = enumerate_endomorphisms_structural(args.n)
-    except ResourceLimitError as exc:
-        print(f"sgranks conjecture: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    monoid = enumerate_endomorphisms_structural(args.n)
     report = ranks.verify_conjecture(args.n, budget=ranks.Budget(seconds=args.budget), monoid=monoid)
     if args.json:
         print(json.dumps(report.to_dict(monoid), indent=2))
@@ -249,7 +233,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ResourceLimitError as exc:
+        print(f"sgranks {args.command}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

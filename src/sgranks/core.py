@@ -100,36 +100,49 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _grow(product, members: list[int], mask: int, start: int, full_mask: int) -> int:
-    """Close members/mask under the product, processing pairs by worklist.
+def _grow(product, gens: list[int], mask: int, frontier: list[int], full_mask: int) -> int:
+    """Close mask under right multiplication by gens, by worklist.
 
-    members[start:] is the unprocessed frontier; pairs drawn from
-    members[:start] alone must already be closed.  Mutates members (appending
-    each new element exactly once) and returns the final mask.  Exits early
-    once every element is present, since the closure can grow no further.
+    frontier lists the members of mask whose right products by gens are not
+    yet in; every other member's are.  When gens lie in mask and mask lies in
+    <gens>, the result is <gens>, since each product g1*g2*...*gk is reached
+    from g1 by right multiplications.  Costs |gens| lookups per element, not
+    one per pair of elements.  Appends each new element to frontier once, and
+    exits early once every element is present.
     """
-    k = start
-    while k < len(members):
-        a = members[k]
-        row_a = product[a]
-        for j in range(k + 1):
-            b = members[j]
-            for c in (row_a[b], product[b][a]):
-                bit = 1 << c
-                if not mask & bit:
-                    mask |= bit
-                    members.append(c)
+    for a in frontier:  # the loop also visits the elements appended below
+        row = product[a]
+        for g in gens:
+            c = row[g]
+            bit = 1 << c
+            if not mask & bit:
+                mask |= bit
+                frontier.append(c)
         if mask == full_mask:
             break
-        k += 1
     return mask
 
 
+def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int) -> int:
+    """<gens + [x]> as a mask, given that mask is <gens>.
+
+    mask is closed under right multiplication by gens, so among its members
+    only the products s*x can be new; x and those seed the frontier.
+    """
+    if mask >> x & 1:
+        return mask
+    frontier = []
+    for c in (x, *(product[s][x] for s in _iter_bits(mask))):
+        bit = 1 << c
+        if not mask & bit:
+            mask |= bit
+            frontier.append(c)
+    return _grow(product, gens + [x], mask, frontier, full_mask)
+
+
 def _closure_mask(mask: int, product, full_mask: int) -> int:
-    if mask == 0:
-        return 0
-    members = list(_iter_bits(mask))
-    return _grow(product, members, mask, 0, full_mask)
+    gens = list(_iter_bits(mask))
+    return _grow(product, gens, mask, gens.copy(), full_mask)
 
 
 def closure(gens: Iterable[int], table: SemigroupTable) -> frozenset[int]:

@@ -72,56 +72,36 @@ class _Clock:
             raise _Exhausted
 
 
-def _extend_closed(product, state, x: int, full_mask: int):
-    """Closed state of (members of state) + {x}; state is a (mask, members) pair.
-
-    The incoming state must already be closed, so only products touching x and
-    the elements it drags in need processing.
-    """
-    mask, members = state
-    bit = 1 << x
-    if mask & bit:
-        return state
-    grown = members + [x]
-    new_mask = core._grow(product, grown, mask | bit, len(members), full_mask)
-    return (new_mask, grown)
-
-
-_EMPTY_STATE = (0, [])
-
-
 def _independent_sets(table: SemigroupTable, clock: _Clock | None = None):
     """Yield (ids, closure_mask) for every independent subset, in lex order.
 
-    Carries, for the current subset U and each a in U, the closed state of
-    U - {a}; extending by x updates each incrementally, and a branch dies on
-    the first extension that makes some element redundant.
+    Carries the closure of the current subset U and, for each a in U, the
+    closure of U - {a}; the generators behind each closure are U or U - {a}, so
+    extending by x updates each with core._adjoin, and a branch dies on the
+    first extension that makes some element redundant.
     """
     product = table.product
     n = table.size
     full = (1 << n) - 1
 
-    def branch(u: list[int], minus, whole):
-        yield tuple(u), whole[0]
+    def branch(u: list[int], minus: list[int], whole: int):
+        yield tuple(u), whole
         for x in range(u[-1] + 1 if u else 0, n):
             if clock is not None:
                 clock.tick()
-            if whole[0] >> x & 1:
+            if whole >> x & 1:
                 continue  # x is already generated by u
             ext = []
-            independent = True
             for i, a in enumerate(u):
-                st = _extend_closed(product, minus[i], x, full)
-                if st[0] >> a & 1:
-                    independent = False
+                cl = core._adjoin(product, u[:i] + u[i + 1:], minus[i], x, full)
+                if cl >> a & 1:
                     break
-                ext.append(st)
-            if not independent:
-                continue
-            ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
-            yield from branch(u + [x], ext, _extend_closed(product, whole, x, full))
+                ext.append(cl)
+            else:
+                ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
+                yield from branch(u + [x], ext, core._adjoin(product, u, whole, x, full))
 
-    yield from branch([], [], _EMPTY_STATE)
+    yield from branch([], [], 0)
 
 
 @dataclass(frozen=True)
@@ -181,23 +161,20 @@ def intermediate_rank(table: SemigroupTable, budget: Budget | None = None) -> Se
 
 
 def _first_generating(product, n: int, k: int, full: int):
-    """Lex-first generating k-subset, or None.  Incremental closures down the
-    prefix tree; once a prefix already generates, the lex-first completion is
-    just the next k - |prefix| consecutive ids."""
+    """Lex-first generating k-subset, or None, with incremental closures down
+    the prefix tree."""
 
-    def descend(u: list[int], state, lo: int):
+    def descend(u: list[int], cl: int, lo: int):
         need = k - len(u)
-        if state[0] == full:
-            return tuple(u) + tuple(range(lo, lo + need))
         if need == 0:
-            return None
+            return tuple(u) if cl == full else None
         for x in range(lo, n - need + 1):
-            got = descend(u + [x], _extend_closed(product, state, x, full), x + 1)
+            got = descend(u + [x], core._adjoin(product, u, cl, x, full), x + 1)
             if got is not None:
                 return got
         return None
 
-    return descend([], _EMPTY_STATE, 0)
+    return descend([], 0, 0)
 
 
 def lower_rank(table: SemigroupTable) -> SearchOutcome:

@@ -305,8 +305,7 @@ def _check_small_rank(m: EndoMonoid) -> CheckResult:
 
 
 def _check_prime_subset(m: EndoMonoid) -> CheckResult:
-    prime = ranks.smallest_prime_subset(m.table)
-    value, _ = ranks.large_rank(m.table)
+    value, prime = ranks.large_rank(m.table)
     expected = len(m)
     ok = prime == frozenset({m.zero_id}) and value == expected
     return _result(

@@ -46,6 +46,14 @@ def test_endo_oracle_flag(capsys, monoids):
     assert parse_table_text(out) == monoids[2].table
     code, _, err = run(capsys, "endo", "--n", "4", "--oracle")
     assert code == 1 and "cap" in err
+    assert err == "sgranks endo: n=4 exceeds the oracle enumeration cap n <= 3\n"
+
+
+@pytest.mark.parametrize("command", ["endo", "ranks", "verify", "conjecture"])
+def test_enumeration_cap_exits_one(capsys, command):
+    code, out, err = run(capsys, command, "--n", "7")
+    assert code == 1 and out == ""
+    assert err == f"sgranks {command}: n=7 exceeds the factorial enumeration cap n <= 6\n"
 
 
 def test_endo_json_sidecar(capsys, tmp_path):

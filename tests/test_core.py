@@ -158,6 +158,14 @@ def test_closure_contains_extends_and_is_idempotent(idx, data):
     for a in cl:
         for b in cl:
             assert table.product[a][b] in cl
+    # minimality: the closure is exactly the fixpoint of adding pairwise products
+    fixpoint = set(subset)
+    while True:
+        grown = fixpoint | {table.product[a][b] for a in fixpoint for b in fixpoint}
+        if grown == fixpoint:
+            break
+        fixpoint = grown
+    assert cl == fixpoint
 
 
 @settings(max_examples=200, deadline=None)

@@ -258,11 +258,16 @@ def test_search_engine_on_degenerate_tables(degenerate_tables):
 def test_independent_set_enumeration_matches_definition(monoids):
     from sgranks.ranks import _independent_sets
 
-    table = monoids[2].table
-    found = {ids for ids, _ in _independent_sets(table)}
-    flags = subset_flags(table)
-    expected = {ids_of(mask) for mask, ind in enumerate(flags.independent) if ind}
-    assert found == expected
+    for n in (2, 3):
+        table = monoids[n].table
+        flags = subset_flags(table)
+        found = set()
+        for ids, cl in _independent_sets(table):
+            # the incrementally adjoined closure matches the one from scratch
+            assert cl == flags.closures[sum(1 << a for a in ids)]
+            found.add(ids)
+        expected = {ids_of(mask) for mask, ind in enumerate(flags.independent) if ind}
+        assert found == expected
 
 
 def test_chain_holds_on_every_report(monoids, b_tables, random_tables):
