@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 
 from .brandt import THETA, build_brandt, element_to_id, id_to_element
 from .core import ResourceLimitError, SemigroupTable, restrict
@@ -226,13 +227,12 @@ class EndoMonoid:
         self._index = {f.image: k for k, f in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate endomorphisms")
+        images = [f.image for f in self.elements]
         rows = []
         for f in self.elements:
-            row = []
-            for g in self.elements:
-                image = tuple(g.image[v] for v in f.image)
-                row.append(self._index[image])
-            rows.append(row)
+            # maps g.image to the image of fg, as a tuple: images have >= 2 entries
+            fg = itemgetter(*f.image)
+            rows.append([self._index[fg(image)] for image in images])
         self.table = SemigroupTable.from_rows(rows, [f.label for f in self.elements])
 
     def __len__(self) -> int:
@@ -291,23 +291,23 @@ class EndoMonoid:
         }
 
 
-def enumerate_endomorphisms_structural(n: int, max_n: int = STRUCTURAL_MAX_N) -> EndoMonoid:
+def enumerate_endomorphisms_structural(n: int) -> EndoMonoid:
     """End(B_n) from its known shape: n! automorphisms and n + 1 constants.
 
-    Sizes grow factorially, so n is capped (default 6) to keep the table
-    buildable; raise the cap explicitly at your own risk.
+    Sizes grow factorially, so n is capped at STRUCTURAL_MAX_N to keep the
+    table buildable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds the factorial enumeration cap n <= {max_n}")
+    if n > STRUCTURAL_MAX_N:
+        raise ResourceLimitError(f"n={n} exceeds the factorial enumeration cap n <= {STRUCTURAL_MAX_N}")
     elements = [phi_of_perm(sigma, n) for sigma in permutations(range(1, n + 1))]
     elements += [constant_map((i, i), n) for i in range(1, n + 1)]
     elements.append(constant_map(THETA, n))
     return EndoMonoid(n, elements)
 
 
-def enumerate_endomorphisms_oracle(n: int, max_n: int = ORACLE_MAX_N) -> list[Endomorphism]:
+def enumerate_endomorphisms_oracle(n: int) -> list[Endomorphism]:
     """Every multiplicative self-map of B_n, found by exhaustive backtracking.
 
     Assigns images in table-id order and rejects a partial map as soon as some
@@ -317,8 +317,8 @@ def enumerate_endomorphisms_oracle(n: int, max_n: int = ORACLE_MAX_N) -> list[En
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise ResourceLimitError(f"n={n} exceeds the oracle enumeration cap n <= {max_n}")
+    if n > ORACLE_MAX_N:
+        raise ResourceLimitError(f"n={n} exceeds the oracle enumeration cap n <= {ORACLE_MAX_N}")
     prod = _brandt_product(n)
     size = n * n + 1
 

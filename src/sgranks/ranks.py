@@ -22,7 +22,7 @@ scans largest ids first (see smallest_prime_subset).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import core, reference
@@ -106,12 +106,17 @@ def _independent_sets(table: SemigroupTable, clock: _Clock | None = None):
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a witness search; exact=False means the budget ran out and
-    value is only a bound in the search's favourable direction."""
+    """One rank's value, its certificate and how it was found.
+
+    exact=False means the budget ran out and value is only a bound in the
+    search's favourable direction.  witness is None for r1, which carries no
+    certificate.
+    """
 
     value: int
-    witness: tuple[int, ...]
+    witness: tuple[int, ...] | None
     exact: bool = True
+    method: str = "exhaustive"
 
 
 def _walk(
@@ -145,8 +150,8 @@ def _walk(
     except _Exhausted:
         exact = False
     return (
-        SearchOutcome(len(largest), largest, exact),
-        SearchOutcome(len(generating), generating, exact),
+        SearchOutcome(len(largest), largest, exact, "pruned-search"),
+        SearchOutcome(len(generating), generating, exact, "pruned-search"),
     )
 
 
@@ -209,8 +214,8 @@ def small_rank_exhaustive(table: SemigroupTable) -> int:
     return value
 
 
-def _small_rank_with_method(table: SemigroupTable) -> tuple[int, str]:
-    """r1 and the method tag that rank_report shows for it.
+def _small_rank_record(table: SemigroupTable) -> SearchOutcome:
+    """The r1 record, with the method tag that rank_report shows for it.
 
     In a semigroup with a non-idempotent element a, the pair {a, a*a} (a set of
     size <= 2 contained in many 2-subsets) is dependent, and with at least two
@@ -218,13 +223,13 @@ def _small_rank_with_method(table: SemigroupTable) -> tuple[int, str]:
     one-element table) fall back to direct enumeration.
     """
     if table.size >= 2 and not core.is_band(table):
-        return 1, "fast-path"
-    return small_rank_exhaustive(table), "exhaustive"
+        return SearchOutcome(1, None, method="fast-path")
+    return SearchOutcome(small_rank_exhaustive(table), None)
 
 
 def small_rank(table: SemigroupTable) -> int:
     """r1, using the structural shortcut where it applies."""
-    return _small_rank_with_method(table)[0]
+    return _small_rank_record(table).value
 
 
 def smallest_prime_subset(table: SemigroupTable) -> frozenset[int]:
@@ -273,48 +278,72 @@ def large_rank(table: SemigroupTable) -> tuple[int, frozenset[int]]:
     return value, prime
 
 
+# the core predicates each certificate is replayed through; r1 has none
+_REPLAY = {
+    "r2": (core.is_generating,),
+    "r3": (core.is_independent, core.is_generating),
+    "r4": (core.is_independent,),
+    "r5": (core.is_prime_subset,),
+}
+
+
 @dataclass
 class RankReport:
-    """All requested ranks of one table, with certificates and method tags."""
+    """All requested ranks of one table: one record per rank, in RANK_KEYS order.
 
-    ranks: dict[str, int]
-    certificates: dict[str, tuple[int, ...]]
-    methods: dict[str, str]
-    budget_exhausted: bool
+    ranks, certificates, methods and budget_exhausted are read-only views of
+    those records.
+    """
+
+    records: dict[str, SearchOutcome]
     n: int | None = None
     table: SemigroupTable = field(repr=False, default=None)
+
+    @property
+    def ranks(self) -> dict[str, int]:
+        return {key: rec.value for key, rec in self.records.items()}
+
+    @property
+    def certificates(self) -> dict[str, tuple[int, ...]]:
+        return {
+            "r5_prime" if key == "r5" else key: rec.witness
+            for key, rec in self.records.items()
+            if rec.witness is not None
+        }
+
+    @property
+    def methods(self) -> dict[str, str]:
+        return {key: rec.method for key, rec in self.records.items()}
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return not all(rec.exact for rec in self.records.values())
 
     def to_dict(self) -> dict:
         lab = self.table.label
         return {
             "n": self.n,
-            "ranks": dict(self.ranks),
+            "ranks": self.ranks,
             "certificates": {
                 key: [lab(a) for a in sorted(ids)]
                 for key, ids in self.certificates.items()
             },
-            "methods": dict(self.methods),
+            "methods": self.methods,
             "budget_exhausted": self.budget_exhausted,
         }
 
     def format_text(self) -> str:
         lab = self.table.label
-        lines = []
         name = f"End(B_{self.n})" if self.n is not None else "table"
-        lines.append(f"{name}: {self.table.size} elements")
-        cert_names = {"r2": "witness", "r3": "witness", "r4": "witness", "r5": "prime subset"}
-        for key in RANK_KEYS:
-            if key not in self.ranks:
-                continue
-            cert_key = "r5_prime" if key == "r5" else key
-            part = f"{key} = {self.ranks[key]}   [{self.methods[key]}]"
-            if cert_key in self.certificates:
-                names = " ".join(lab(a) for a in sorted(self.certificates[cert_key]))
-                part += f"   {cert_names[key]}: {names}"
+        lines = [f"{name}: {self.table.size} elements"]
+        for key, rec in self.records.items():
+            part = f"{key} = {rec.value}   [{rec.method}]"
+            if rec.witness is not None:
+                names = " ".join(lab(a) for a in sorted(rec.witness))
+                part += f"   {'prime subset' if key == 'r5' else 'witness'}: {names}"
             lines.append(part)
-        shown = [self.ranks[k] for k in RANK_KEYS if k in self.ranks]
-        if len(shown) > 1:
-            lines.append("chain: " + " <= ".join(map(str, shown)))
+        if len(self.records) > 1:
+            lines.append("chain: " + " <= ".join(map(str, self.ranks.values())))
         if self.budget_exhausted:
             lines.append("budget exhausted: some values are lower bounds")
         return "\n".join(lines) + "\n"
@@ -329,75 +358,44 @@ def rank_report(
     """Compute the requested ranks (all five by default) with certificates.
 
     The budget, if any, applies to the one walk that finds both r3 and r4; when
-    it is cut short their values are reported as bounds and budget_exhausted is
-    set.  A budget-starved r3 or r4 below an already-proven smaller rank is
-    replaced by that rank's witness (sound: an independent generating set is
-    independent), so the reported chain r1 <= r2 <= r3 <= r4 <= r5 always
-    holds; with no budget pressure the chain is re-checked and a violation
-    raises.
+    it is cut short their records are inexact bounds and budget_exhausted is
+    set.  A found r3 is never below r2, but a cut walk may find no generating
+    set at all; then r3 steps down the chain to the r2 record, and r4 to r3's
+    if smaller (sound: a smallest generating set is independent), so the
+    reported chain r1 <= r2 <= r3 <= r4 <= r5 always holds.  Every certificate
+    is replayed through the core predicates and the chain is re-checked; a
+    failure raises.
     """
     wanted = set(RANK_KEYS) if which is None else set(which)
     unknown = wanted - set(RANK_KEYS)
     if unknown:
         raise ValueError(f"unknown rank keys: {sorted(unknown)}")
 
-    ranks: dict[str, int] = {}
-    certificates: dict[str, tuple[int, ...]] = {}
-    methods: dict[str, str] = {}
-    exhausted = False
-
+    found: dict[str, SearchOutcome] = {}
     if "r1" in wanted:
-        ranks["r1"], methods["r1"] = _small_rank_with_method(table)
-
-    r2 = None
-    if "r2" in wanted or "r3" in wanted or "r4" in wanted:
-        # r3/r4 may need the r2 witness as a fallback, so compute it for them too
-        r2 = lower_rank(table)
-    if "r2" in wanted:
-        ranks["r2"] = r2.value
-        certificates["r2"] = r2.witness
-        methods["r2"] = "exhaustive"
-        if not core.is_generating(r2.witness, table):
-            raise RuntimeError("r2 certificate failed replay")
-
-    if "r3" in wanted or "r4" in wanted:
-        r4, r3 = _walk(table, budget)
-        if not r3.exact:
-            exhausted = True
-            if r3.value < r2.value:
-                r3 = SearchOutcome(r2.value, r2.witness, False)
-            if r4.value < r3.value:
-                r4 = SearchOutcome(r3.value, r3.witness, False)
-    if "r3" in wanted:
-        ranks["r3"] = r3.value
-        certificates["r3"] = r3.witness
-        methods["r3"] = "pruned-search"
-        if not (
-            core.is_independent(r3.witness, table)
-            and core.is_generating(r3.witness, table)
-        ):
-            raise RuntimeError("r3 certificate failed replay")
-
-    if "r4" in wanted:
-        ranks["r4"] = r4.value
-        certificates["r4"] = r4.witness
-        methods["r4"] = "pruned-search"
-        if not core.is_independent(r4.witness, table):
-            raise RuntimeError("r4 certificate failed replay")
-
+        found["r1"] = _small_rank_record(table)
+    if wanted & {"r2", "r3", "r4"}:
+        # r3/r4 may step down to the r2 record, so compute it for them too
+        found["r2"] = lower_rank(table)
+    if wanted & {"r3", "r4"}:
+        found["r4"], found["r3"] = _walk(table, budget)
+        for key, below in (("r3", "r2"), ("r4", "r3")):
+            low = found[below]
+            if found[key].value < low.value:
+                found[key] = replace(found[key], value=low.value, witness=low.witness)
     if "r5" in wanted:
         value, prime = large_rank(table)
-        ranks["r5"] = value
-        certificates["r5_prime"] = tuple(sorted(prime))
-        methods["r5"] = "exhaustive"
-        if not core.is_prime_subset(prime, table):
-            raise RuntimeError("r5 certificate failed replay")
+        found["r5"] = SearchOutcome(value, tuple(sorted(prime)))
 
-    shown = [ranks[k] for k in RANK_KEYS if k in ranks]
-    if any(shown[i] > shown[i + 1] for i in range(len(shown) - 1)):
-        raise RuntimeError(f"rank chain violated: {ranks}")
-
-    return RankReport(ranks, certificates, methods, exhausted, n=n, table=table)
+    records = {key: found[key] for key in RANK_KEYS if key in wanted}
+    for key, rec in records.items():
+        if not all(holds(rec.witness, table) for holds in _REPLAY.get(key, ())):
+            raise RuntimeError(f"{key} certificate failed replay")
+    report = RankReport(records, n=n, table=table)
+    shown = list(report.ranks.values())
+    if any(a > b for a, b in zip(shown, shown[1:])):
+        raise RuntimeError(f"rank chain violated: {report.ranks}")
+    return report
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,20 @@ def test_ranks_json_matches_library(capsys, monoids):
     assert data["ranks"] == {"r1": 1, "r2": 3, "r3": 3, "r4": 4, "r5": 5}
 
 
+def test_ranks_text_report(capsys):
+    code, out, err = run(capsys, "ranks", "--n", "2")
+    assert code == 0 and err == ""
+    assert out == (
+        "End(B_2): 5 elements\n"
+        "r1 = 1   [fast-path]\n"
+        "r2 = 3   [exhaustive]   witness: phi_(1,2) xi_(1,1) xi_theta\n"
+        "r3 = 3   [pruned-search]   witness: phi_(1,2) xi_(1,1) xi_theta\n"
+        "r4 = 4   [pruned-search]   witness: phi_id xi_(1,1) xi_(2,2) xi_theta\n"
+        "r5 = 5   [exhaustive]   prime subset: xi_theta\n"
+        "chain: 1 <= 3 <= 3 <= 4 <= 5\n"
+    )
+
+
 def test_ranks_which_filter(capsys):
     code, out, _ = run(capsys, "ranks", "--n", "2", "--json", "--which", "r1,r5")
     assert code == 0

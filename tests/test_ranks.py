@@ -8,6 +8,7 @@ from sgranks.core import (
 )
 from sgranks.ranks import (
     Budget,
+    SearchOutcome,
     intermediate_rank,
     large_rank,
     lower_rank,
@@ -199,6 +200,53 @@ def test_rank_report_serialization(monoids):
     assert data["certificates"]["r2"] == ["phi_(1,2)", "xi_(1,1)", "xi_theta"]
     assert data["budget_exhausted"] is False
     assert set(data["methods"]) == {"r1", "r2", "r3", "r4", "r5"}
+
+
+def test_report_records_back_the_views(monoids):
+    report = rank_report(monoids[2].table, n=2)
+    assert report.records == {
+        "r1": SearchOutcome(1, None, True, "fast-path"),
+        "r2": SearchOutcome(3, (1, 2, 4), True, "exhaustive"),
+        "r3": SearchOutcome(3, (1, 2, 4), True, "pruned-search"),
+        "r4": SearchOutcome(4, (0, 2, 3, 4), True, "pruned-search"),
+        "r5": SearchOutcome(5, (4,), True, "exhaustive"),
+    }
+    assert list(report.certificates) == ["r2", "r3", "r4", "r5_prime"]
+    assert report.methods == {k: rec.method for k, rec in report.records.items()}
+
+
+def test_cut_report_text(monoids):
+    # at 3 nodes the walk has no generating set, so r3, and r4 after it, step down
+    # to the r2 record
+    report = rank_report(
+        monoids[3].table, budget=Budget(seconds=None, max_nodes=3), n=3, which=["r2", "r4"]
+    )
+    assert report.records["r4"] == SearchOutcome(4, (1, 2, 6, 9), False, "pruned-search")
+    assert report.format_text() == (
+        "End(B_3): 10 elements\n"
+        "r2 = 4   [exhaustive]   witness: phi_(2,3) phi_(1,2) xi_(1,1) xi_theta\n"
+        "r4 = 4   [pruned-search]   witness: phi_(2,3) phi_(1,2) xi_(1,1) xi_theta\n"
+        "chain: 4 <= 4\n"
+        "budget exhausted: some values are lower bounds\n"
+    )
+
+
+# On End(B_2): the identity alone generates nothing else, the whole monoid is
+# not independent, and the identity is not prime, as (1 2)(1 2) = id.
+_FAILING_PRODUCERS = {
+    "r2": ("lower_rank", lambda table: SearchOutcome(1, (0,))),
+    "r3": ("_walk", lambda table, budget: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
+    "r4": ("_walk", lambda table, budget: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
+    "r5": ("large_rank", lambda table: (5, frozenset({0}))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FAILING_PRODUCERS))
+def test_failed_certificate_replay_raises(monkeypatch, monoids, key):
+    name, producer = _FAILING_PRODUCERS[key]
+    monkeypatch.setattr(f"sgranks.ranks.{name}", producer)
+    with pytest.raises(RuntimeError, match=f"^{key} certificate failed replay$"):
+        rank_report(monoids[2].table, which=[key])
 
 
 # (table, (r1, r2, r3, r4, r5)) for shapes whose ranks have closed forms.  For
