@@ -123,20 +123,53 @@ def _grow(product, gens: list[int], mask: int, frontier: list[int], full_mask: i
     return mask
 
 
-def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int) -> int:
-    """<gens + [x]> as a mask, given that mask is <gens>.
+def _right_chunks(product) -> list[list[list[int]]]:
+    """Right translations s -> s*x as lookup tables over 4-id chunks of a mask.
+
+    right[x][j][b] is the mask of {s*x : s = 4j + i, bit i of b set}, so the
+    products s*x for all s in a mask are the OR over j of
+    right[x][j][mask >> 4j & 15].  A last chunk with fewer than 4 ids is
+    padded with empty masks.
+    """
+    n = len(product)
+    right = []
+    for x in range(n):
+        bits = [1 << row[x] for row in product] + [0, 0, 0]
+        chunks = []
+        for lo in range(0, n, 4):
+            b0, b1, b2, b3 = bits[lo:lo + 4]
+            b01 = b0 | b1
+            b23 = b2 | b3
+            chunks.append([
+                0, b0, b1, b01, b2, b0 | b2, b1 | b2, b01 | b2,
+                b3, b0 | b3, b1 | b3, b01 | b3, b23, b0 | b23, b1 | b23, b01 | b23,
+            ])
+        right.append(chunks)
+    return right
+
+
+def _adjoin(product, right, gens: list[int], mask: int, x: int, full_mask: int) -> int:
+    """<gens + [x]> as a mask, given that mask is <gens> and right is
+    _right_chunks(product).
 
     mask is closed under right multiplication by gens, so among its members
-    only the products s*x can be new; x and those seed the frontier.
+    only the products s*x can be new; x and those seed the frontier.  The
+    products come from right[x], one lookup per 4 ids of the table.
     """
     if mask >> x & 1:
         return mask
+    new = 1 << x
+    rest = mask
+    for images in right[x]:
+        new |= images[rest & 15]
+        rest >>= 4
+    new &= ~mask
+    mask |= new
     frontier = []
-    for c in (x, *(product[s][x] for s in _iter_bits(mask))):
-        bit = 1 << c
-        if not mask & bit:
-            mask |= bit
-            frontier.append(c)
+    while new:  # the bits of new, inlined: this is the walk's innermost call
+        low = new & -new
+        frontier.append(low.bit_length() - 1)
+        new ^= low
     return _grow(product, gens + [x], mask, frontier, full_mask)
 
 

@@ -78,30 +78,39 @@ def _independent_sets(table: SemigroupTable, clock: _Clock | None = None):
     Carries the closure of the current subset U and, for each a in U, the
     closure of U - {a}; the generators behind each closure are U or U - {a}, so
     extending by x updates each with core._adjoin, and a branch dies on the
-    first extension that makes some element redundant.
+    first extension that makes some element redundant.  The right-translation
+    tables that core._adjoin reads are built once, up front, and freed when
+    the walk ends.
     """
     product = table.product
-    n = table.size
+    right = core._right_chunks(product)
+    yield from _branch(product, right, clock, [], [], 0)
+
+
+def _branch(product, right, clock, u: list[int], minus: list[int], whole: int):
+    # module level, not nested in _independent_sets: a nested recursive
+    # function is a reference cycle, which would keep right alive past the
+    # walk until the cyclic collector ran
+    yield tuple(u), whole
+    n = len(product)
     full = (1 << n) - 1
-
-    def branch(u: list[int], minus: list[int], whole: int):
-        yield tuple(u), whole
-        for x in range(u[-1] + 1 if u else 0, n):
-            if clock is not None:
-                clock.tick()
-            if whole >> x & 1:
-                continue  # x is already generated by u
-            ext = []
-            for i, a in enumerate(u):
-                cl = core._adjoin(product, u[:i] + u[i + 1:], minus[i], x, full)
-                if cl >> a & 1:
-                    break
-                ext.append(cl)
-            else:
-                ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
-                yield from branch(u + [x], ext, core._adjoin(product, u, whole, x, full))
-
-    yield from branch([], [], 0)
+    for x in range(u[-1] + 1 if u else 0, n):
+        if clock is not None:
+            clock.tick()
+        if whole >> x & 1:
+            continue  # x is already generated by u
+        ext = []
+        for i, a in enumerate(u):
+            cl = core._adjoin(product, right, u[:i] + u[i + 1:], minus[i], x, full)
+            if cl >> a & 1:
+                break
+            ext.append(cl)
+        else:
+            ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
+            yield from _branch(
+                product, right, clock, u + [x], ext,
+                core._adjoin(product, right, u, whole, x, full),
+            )
 
 
 @dataclass(frozen=True)
@@ -165,21 +174,25 @@ def intermediate_rank(table: SemigroupTable, budget: Budget | None = None) -> Se
     return _walk(table, budget)[1]
 
 
-def _first_generating(product, n: int, k: int, full: int):
-    """Lex-first generating k-subset, or None, with incremental closures down
-    the prefix tree."""
+def _first_generating(product, right, k: int, u: list[int], cl: int):
+    """Lex-first generating k-subset that extends the prefix u (closure cl)
+    by larger ids, or None.
 
-    def descend(u: list[int], cl: int, lo: int):
-        need = k - len(u)
-        if need == 0:
-            return tuple(u) if cl == full else None
-        for x in range(lo, n - need + 1):
-            got = descend(u + [x], core._adjoin(product, u, cl, x, full), x + 1)
-            if got is not None:
-                return got
-        return None
-
-    return descend([], 0, 0)
+    Closures are adjoined incrementally down the prefix tree.  Module level
+    for the reason given at _branch.
+    """
+    n = len(product)
+    full = (1 << n) - 1
+    need = k - len(u)
+    if need == 0:
+        return tuple(u) if cl == full else None
+    for x in range(u[-1] + 1 if u else 0, n - need + 1):
+        got = _first_generating(
+            product, right, k, u + [x], core._adjoin(product, right, u, cl, x, full)
+        )
+        if got is not None:
+            return got
+    return None
 
 
 def lower_rank(table: SemigroupTable) -> SearchOutcome:
@@ -188,10 +201,10 @@ def lower_rank(table: SemigroupTable) -> SearchOutcome:
     Sizes are tried in ascending order, so the returned size k also certifies
     that no generating subset of size k - 1 exists.
     """
-    n = table.size
-    full = (1 << n) - 1
-    for k in range(1, n + 1):
-        witness = _first_generating(table.product, n, k, full)
+    product = table.product
+    right = core._right_chunks(product)
+    for k in range(1, table.size + 1):
+        witness = _first_generating(product, right, k, [], 0)
         if witness is not None:
             return SearchOutcome(k, witness)
     raise AssertionError("the full set always generates")
@@ -361,8 +374,9 @@ def rank_report(
     it is cut short their records are inexact bounds and budget_exhausted is
     set.  A found r3 is never below r2, but a cut walk may find no generating
     set at all; then r3 steps down the chain to the r2 record, and r4 to r3's
-    if smaller (sound: a smallest generating set is independent), so the
-    reported chain r1 <= r2 <= r3 <= r4 <= r5 always holds.  Every certificate
+    if smaller (sound: a smallest generating set is independent), with the
+    method "chain-step", so the reported chain r1 <= r2 <= r3 <= r4 <= r5
+    always holds.  Every certificate
     is replayed through the core predicates and the chain is re-checked; a
     failure raises.
     """
@@ -382,7 +396,9 @@ def rank_report(
         for key, below in (("r3", "r2"), ("r4", "r3")):
             low = found[below]
             if found[key].value < low.value:
-                found[key] = replace(found[key], value=low.value, witness=low.witness)
+                found[key] = replace(
+                    found[key], value=low.value, witness=low.witness, method="chain-step"
+                )
     if "r5" in wanted:
         value, prime = large_rank(table)
         found["r5"] = SearchOutcome(value, tuple(sorted(prime)))

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgranks.core import (
     SemigroupTable,
+    _right_chunks,
     closure,
     format_table_text,
     idempotents,
@@ -17,7 +20,7 @@ from sgranks.core import (
 )
 from sgranks.reference import subset_flags
 
-from _tablegen import random_semigroup_pool
+from _tablegen import cyclic_group, random_semigroup_pool
 
 POOL = random_semigroup_pool()
 
@@ -189,3 +192,25 @@ def test_independence_hereditary_exhaustively_on_pool():
             assert is_independent(subset, table) == independent
             if independent:
                 assert all(flags[bits ^ (1 << a)] for a in subset)
+
+
+def test_right_chunks_give_right_products(monoids):
+    # sizes 1, 2, 3, 5, 6 and 29 are not multiples of the 4-id chunk, so their
+    # last chunk is a short one
+    tables = [cyclic_group(size) for size in (1, 2, 3, 5, 6, 24)] + [monoids[4].table]
+    rng = random.Random(20261018)
+    for table in tables:
+        n = table.size
+        right = _right_chunks(table.product)
+        masks = [0, (1 << n) - 1] + [1 << a for a in range(n)]
+        masks += [rng.getrandbits(n) for _ in range(50)]
+        for x in range(n):
+            for mask in masks:
+                image = 0
+                for j, images in enumerate(right[x]):
+                    image |= images[mask >> 4 * j & 15]
+                expected = 0
+                for s in range(n):
+                    if mask >> s & 1:
+                        expected |= 1 << table.product[s][x]
+                assert image == expected, (n, x, mask)

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from sgranks import core
 from sgranks.core import (
     ResourceLimitError,
     is_generating,
@@ -19,6 +23,7 @@ from sgranks.ranks import (
     upper_rank,
     verify_conjecture,
 )
+from sgranks.endo import enumerate_endomorphisms_structural
 from sgranks.reference import subset_flags
 
 from _tablegen import cyclic_group, left_zero_band, null_semigroup, special_tables
@@ -184,6 +189,49 @@ def test_budget_exhaustion_flags_bounds(monoids):
         assert report.budget_exhausted
 
 
+def test_end_b5_walks_cut_at_1000_nodes():
+    # End(B_5) has 126 elements, beyond the reference oracle and a complete
+    # walk; these pin where the walk stands after 1000 nodes
+    m = enumerate_endomorphisms_structural(5)
+    budget = Budget(seconds=None, max_nodes=1000)
+    best = (0, 120, 121, 122, 123, 124, 125)  # phi_id and the six constants
+    assert upper_rank(m.table, budget) == SearchOutcome(7, best, False, "pruned-search")
+    assert intermediate_rank(m.table, budget) == SearchOutcome(
+        6, (1, 2, 6, 24, 120, 125), False, "pruned-search"
+    )
+    report = verify_conjecture(5, budget, monoid=m)
+    assert (report.verdict, report.witness, report.best_found, report.refutation) == (
+        "inconclusive", best, best, None
+    )
+
+
+def test_search_tables_are_released(monkeypatch, monoids):
+    # the right-translation tables of a search must be freed when it returns,
+    # cut or not, and not be left in a reference cycle for the cyclic collector
+    class Tables(list):  # a plain list cannot be weakly referenced
+        pass
+
+    built = []
+
+    def tracked(product, build=core._right_chunks):
+        tables = Tables(build(product))
+        built.append(weakref.ref(tables))
+        return tables
+
+    monkeypatch.setattr(core, "_right_chunks", tracked)
+    table = monoids[4].table
+    gc.collect()
+    gc.disable()
+    try:
+        assert upper_rank(table).value == 6
+        assert not upper_rank(table, Budget(seconds=None, max_nodes=100)).exact
+        assert lower_rank(table).value == 4
+        assert len(built) == 3
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+
+
 def test_rank_report_which_filter(monoids):
     report = rank_report(monoids[2].table, which=["r1", "r5"], n=2)
     assert set(report.ranks) == {"r1", "r5"}
@@ -221,11 +269,11 @@ def test_cut_report_text(monoids):
     report = rank_report(
         monoids[3].table, budget=Budget(seconds=None, max_nodes=3), n=3, which=["r2", "r4"]
     )
-    assert report.records["r4"] == SearchOutcome(4, (1, 2, 6, 9), False, "pruned-search")
+    assert report.records["r4"] == SearchOutcome(4, (1, 2, 6, 9), False, "chain-step")
     assert report.format_text() == (
         "End(B_3): 10 elements\n"
         "r2 = 4   [exhaustive]   witness: phi_(2,3) phi_(1,2) xi_(1,1) xi_theta\n"
-        "r4 = 4   [pruned-search]   witness: phi_(2,3) phi_(1,2) xi_(1,1) xi_theta\n"
+        "r4 = 4   [chain-step]   witness: phi_(2,3) phi_(1,2) xi_(1,1) xi_theta\n"
         "chain: 4 <= 4\n"
         "budget exhausted: some values are lower bounds\n"
     )
