@@ -45,7 +45,6 @@ from .ranks import (
     lower_rank,
     rank_report,
     small_rank,
-    small_rank_exhaustive,
     smallest_prime_subset,
     upper_rank,
     verify_conjecture,

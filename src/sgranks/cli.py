@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import brandt, core, ranks, verify
@@ -40,6 +41,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value

@@ -11,7 +11,8 @@ For a table of size N the ranks are:
 They always satisfy r1 <= r2 <= r3 <= r4 <= r5.  A subset is independent when
 no element of it is generated by the others; independence is preserved by
 taking subsets, which is what lets the r3/r4 searches prune whole branches at
-the first dependent extension.
+the first dependent extension.  r1 needs no search: it is 1, 2 or N, read off
+the products in O(N^2) (see small_rank).
 
 Searches enumerate candidate subsets in lexicographic order over ascending id
 tuples, so every reported witness is deterministic: the first optimum in that
@@ -210,39 +211,23 @@ def lower_rank(table: SemigroupTable) -> SearchOutcome:
     raise AssertionError("the full set always generates")
 
 
-def small_rank_exhaustive(table: SemigroupTable) -> int:
-    """r1 by direct enumeration: largest k with every k-subset independent.
-
-    The every-k-subset property fails upward monotonically (add any element to
-    a dependent set and it stays dependent inside the larger subset count), so
-    the scan stops at the first k with a dependent subset.
-    """
-    n = table.size
-    value = 1  # singletons are always independent
-    for k in range(2, n + 1):
-        if all(core.is_independent(c, table) for c in combinations(range(n), k)):
-            value = k
-        else:
-            break
-    return value
-
-
-def _small_rank_record(table: SemigroupTable) -> SearchOutcome:
-    """The r1 record, with the method tag that rank_report shows for it.
-
-    In a semigroup with a non-idempotent element a, the pair {a, a*a} (a set of
-    size <= 2 contained in many 2-subsets) is dependent, and with at least two
-    elements some 2-subset therefore fails, giving r1 = 1.  Bands (and the
-    one-element table) fall back to direct enumeration.
-    """
-    if table.size >= 2 and not core.is_band(table):
-        return SearchOutcome(1, None, method="fast-path")
-    return SearchOutcome(small_rank_exhaustive(table), None)
-
-
 def small_rank(table: SemigroupTable) -> int:
-    """r1, using the structural shortcut where it applies."""
-    return _small_rank_record(table).value
+    """r1, the largest k such that every k-subset is independent, in O(N^2).
+
+    Singletons are always independent, so r1 >= 1, and three cases decide it:
+
+      - some a*a != a: then N >= 2 and {a, a*a} is a dependent pair, so r1 = 1;
+      - every product a*b lies in {a, b}: then every subset is closed, so no
+        member is generated by the others and r1 = N (this covers N = 1);
+      - otherwise the table is a band with some a*b outside {a, b}: every pair
+        is independent, because <b> = {b} in a band, while {a, b, a*b} is
+        dependent, so r1 = 2.
+    """
+    if not core.is_band(table):
+        return 1
+    if all(ab in (a, b) for a, row in enumerate(table.product) for b, ab in enumerate(row)):
+        return table.size
+    return 2
 
 
 def smallest_prime_subset(table: SemigroupTable) -> frozenset[int]:
@@ -387,7 +372,7 @@ def rank_report(
 
     found: dict[str, SearchOutcome] = {}
     if "r1" in wanted:
-        found["r1"] = _small_rank_record(table)
+        found["r1"] = SearchOutcome(small_rank(table), None, method="fast-path")
     if wanted & {"r2", "r3", "r4"}:
         # r3/r4 may step down to the r2 record, so compute it for them too
         found["r2"] = lower_rank(table)

@@ -289,15 +289,18 @@ def _check_independent_lower_bound(m: EndoMonoid) -> CheckResult:
 
 
 def _check_small_rank(m: EndoMonoid) -> CheckResult:
+    # certified through core.is_independent, apart from small_rank's closed
+    # form: an independent whole monoid gives r1 = N, a dependent pair r1 = 1
     n = m.n
-    expected = 3 if n == 1 else 1
-    fast = ranks.small_rank(m.table)
-    slow = ranks.small_rank_exhaustive(m.table)
-    return _result(
-        "small-rank",
-        fast == expected and slow == expected,
-        f"r1 = {fast}, generic search agrees",
-    )
+    got = ranks.small_rank(m.table)
+    if n == 1:
+        ok = got == len(m) and core.is_independent(range(len(m)), m.table)
+        detail = f"r1 = {got}; all {len(m)} elements form an independent set"
+    else:
+        pair = (0, m.perm_id(transposition(n, 1, 2)))
+        ok = got == 1 and not core.is_independent(pair, m.table)
+        detail = f"r1 = {got}; the identity and the transposition (1 2) are a dependent pair"
+    return _result("small-rank", ok, detail)
 
 
 def _check_prime_subset(m: EndoMonoid) -> CheckResult:

@@ -79,6 +79,38 @@ def cyclic_group(order):  # Z/order under addition
     return SemigroupTable.from_rows([[(a + b) % order for b in range(order)] for a in range(order)])
 
 
+def rectangular_band(rows, cols):  # (i, j)(k, l) = (i, l), with id i * cols + j
+    return SemigroupTable.from_rows([
+        [a - a % cols + b % cols for b in range(rows * cols)]
+        for a in range(rows * cols)
+    ])
+
+
+def chain(size):  # a*b = min(a, b), so every product is one of its factors
+    return SemigroupTable.from_rows([[min(a, b) for b in range(size)] for a in range(size)])
+
+
+def semilattice(masks):
+    """The given bitmasks closed under union, as a table over their sorted order."""
+    elements = set(masks)
+    while True:
+        grown = elements | {a | b for a in elements for b in elements}
+        if grown == elements:
+            break
+        elements = grown
+    order = sorted(elements)
+    index = {a: i for i, a in enumerate(order)}
+    return SemigroupTable.from_rows([[index[a | b] for b in order] for a in order])
+
+
+def direct_product(s, t):  # (a, b)(c, d) = (ac, bd), with id a * |t| + b
+    m = t.size
+    return SemigroupTable.from_rows([
+        [s.product[a // m][b // m] * m + t.product[a % m][b % m] for b in range(s.size * m)]
+        for a in range(s.size * m)
+    ])
+
+
 def special_tables():
     """Hand-picked degenerate shapes the searches must not trip over."""
     right_zero = SemigroupTable.from_rows([list(range(4)) for _ in range(4)])

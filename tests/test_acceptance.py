@@ -17,7 +17,6 @@ from sgranks.ranks import (
     intermediate_rank,
     rank_report,
     small_rank,
-    small_rank_exhaustive,
     smallest_prime_subset,
     upper_rank,
     verify_conjecture,
@@ -56,9 +55,9 @@ def test_criterion_2_small_rank(monoids):
     for n in (2, 3, 4):
         assert small_rank(monoids[n].table) == 1
     for n in (2, 3):
-        assert small_rank_exhaustive(monoids[n].table) == 1
+        assert subset_flags(monoids[n].table).ranks()["r1"] == 1
     assert small_rank(monoids[1].table) == 3
-    report_line(2, "r1(End(B_n)) = 1 for n=2,3,4 (generic search agrees for n=2,3); "
+    report_line(2, "r1(End(B_n)) = 1 for n=2,3,4 (reference oracle agrees for n=2,3); "
                    "r1(End(B_1)) = 3")
 
 

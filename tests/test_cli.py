@@ -4,8 +4,10 @@ import pytest
 
 from sgranks import cli
 from sgranks.brandt import build_brandt
-from sgranks.core import parse_table_text
+from sgranks.core import format_table_text, parse_table_text
 from sgranks.ranks import rank_report
+
+from _tablegen import left_zero_band
 
 
 def run(capsys, *argv):
@@ -32,6 +34,17 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["ranks"])  # neither --n nor --table
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["ranks", "verify", "conjecture"])
+@pytest.mark.parametrize("budget", ["nan", "inf", "1e309"])
+def test_non_finite_budget_exits_one(capsys, command, budget):
+    # a deadline of nan or inf would leave the search unbounded
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n", "2", "--budget", budget])
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    assert err.endswith(f"sgranks {command}: error: argument --budget: must be finite, got {budget}\n")
 
 
 def test_endo_table_output(capsys, monoids):
@@ -106,6 +119,14 @@ def test_ranks_round_trip_through_table_files(capsys, tmp_path):
         code, out, _ = run(capsys, "ranks", "--table", str(path), "--json")
         assert code == 0
         assert json.loads(out) == rank_report(build_brandt(k)).to_dict()
+
+
+def test_ranks_r1_of_a_large_band(capsys, tmp_path):
+    # past the reference oracle's cap, r1 comes from the closed form
+    path = tmp_path / "lz24.tbl"
+    path.write_text(format_table_text(left_zero_band(24)))
+    code, out, err = run(capsys, "ranks", "--table", str(path), "--which", "r1")
+    assert (code, out, err) == (0, "table: 24 elements\nr1 = 24   [fast-path]\n", "")
 
 
 def test_ranks_rejects_non_associative_table(capsys, tmp_path):

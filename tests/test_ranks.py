@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -18,7 +19,6 @@ from sgranks.ranks import (
     lower_rank,
     rank_report,
     small_rank,
-    small_rank_exhaustive,
     smallest_prime_subset,
     upper_rank,
     verify_conjecture,
@@ -26,7 +26,17 @@ from sgranks.ranks import (
 from sgranks.endo import enumerate_endomorphisms_structural
 from sgranks.reference import subset_flags
 
-from _tablegen import cyclic_group, left_zero_band, null_semigroup, special_tables
+from _tablegen import (
+    chain,
+    cyclic_group,
+    direct_product,
+    left_zero_band,
+    null_semigroup,
+    random_semigroup_pool,
+    rectangular_band,
+    semilattice,
+    special_tables,
+)
 
 
 def ids_of(mask):
@@ -95,9 +105,56 @@ def test_b1_ranks_all_two(b_tables):
 def test_small_rank_fast_path_agrees(monoids, b_tables):
     for table in (monoids[2].table, monoids[3].table, b_tables[2], b_tables[3]):
         assert small_rank(table) == 1
-        assert small_rank_exhaustive(table) == 1
+        assert subset_flags(table).ranks()["r1"] == 1
     band = special_tables()[1]  # left-zero semigroup, a band
-    assert small_rank(band) == small_rank_exhaustive(band)
+    assert small_rank(band) == subset_flags(band).ranks()["r1"]
+
+
+def closed_form_tables(monoids, b_tables):
+    """Distinct tables of at most 10 elements, most of them bands: the random
+    pools, the special tables, End(B_1..3), B_1..3, the closed-form shapes,
+    random semilattices and direct products."""
+    rng = random.Random(5)
+    pool = random_semigroup_pool(seed=1) + random_semigroup_pool()
+    tables = pool + special_tables() + list(b_tables.values())
+    tables += [monoids[n].table for n in (1, 2, 3)]
+    for size in range(1, 11):
+        tables += [null_semigroup(size), left_zero_band(size), rectangular_band(1, size)]
+        tables += [cyclic_group(size), chain(size)]
+    tables += [rectangular_band(r, c) for r in range(2, 6) for c in range(2, 10 // r + 1)]
+    tables += [semilattice(rng.sample(range(1, 32), rng.randint(2, 4))) for _ in range(500)]
+    bands = [t for t in tables if core.is_band(t) and t.size <= 5]
+    tables += [
+        direct_product(t, u)
+        for t in bands
+        for u in (left_zero_band(2), rectangular_band(1, 2), chain(2))
+    ]
+    tables += [
+        direct_product(t, u)
+        for t in pool
+        for u in (left_zero_band(2), chain(2), cyclic_group(2))
+    ]
+    return list({t.product: t for t in tables if t.size <= 10}.values())
+
+
+def test_small_rank_closed_form_matches_oracle(monoids, b_tables):
+    tables = closed_form_tables(monoids, b_tables)
+    assert len(tables) >= 400
+    assert sum(map(core.is_band, tables)) >= 200
+    for table in tables:
+        assert small_rank(table) == subset_flags(table).ranks()["r1"], table.product
+
+
+def test_small_rank_runs_no_search(monkeypatch):
+    # r1 of a 24-element left-zero band, far past the reference oracle's cap,
+    # with every closure and independence test disabled
+    def disabled(*args):
+        raise AssertionError("r1 must not search")
+
+    monkeypatch.setattr(core, "_closure_mask", disabled)
+    monkeypatch.setattr(core, "is_independent", disabled)
+    report = rank_report(left_zero_band(24), which=["r1"])
+    assert report.records == {"r1": SearchOutcome(24, None, True, "fast-path")}
 
 
 def test_lower_rank_reports_lex_first_witness(monoids):

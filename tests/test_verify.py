@@ -1,3 +1,5 @@
+import pytest
+
 from sgranks import verify
 from sgranks.ranks import Budget
 
@@ -50,3 +52,15 @@ def test_witness_builders(monoids):
     assert verify.generating_witness_ids(m) == (2, 3, 6, 9)
     assert verify.independent_generating_witness_ids(m) == (1, 2, 6, 9)
     assert verify.max_independent_witness_ids(m) == (0, 6, 7, 8, 9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_small_rank_check_detail(monoids, n):
+    detail = (
+        "r1 = 3; all 3 elements form an independent set"
+        if n == 1
+        else "r1 = 1; the identity and the transposition (1 2) are a dependent pair"
+    )
+    assert verify._check_small_rank(monoids[n]) == verify.CheckResult(
+        "small-rank", verify.PASS, detail
+    )
