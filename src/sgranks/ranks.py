@@ -17,7 +17,9 @@ the products in O(N^2) (see small_rank).
 Searches enumerate candidate subsets in lexicographic order over ascending id
 tuples, so every reported witness is deterministic: the first optimum in that
 order.  The one exception is the r5 prime-subset certificate, whose tie-break
-scans largest ids first (see smallest_prime_subset).
+scans largest ids first (see smallest_prime_subset).  The r2 search of a
+monoid whose units come first, as in End(B_n), splits into a search for the
+group of units and one for the rest (see lower_rank), with the same result.
 """
 
 from __future__ import annotations
@@ -175,25 +177,48 @@ def intermediate_rank(table: SemigroupTable, budget: Budget | None = None) -> Se
     return _walk(table, budget)[1]
 
 
-def _first_generating(product, right, k: int, u: list[int], cl: int):
-    """Lex-first generating k-subset that extends the prefix u (closure cl)
-    by larger ids, or None.
+def _first_generating(product, right, need: int, u: list[int], cl: int,
+                      lo: int, hi: int, target: int):
+    """Lex-first way to extend the prefix u (closure cl) by need ids from
+    lo..hi-1 so that the closure becomes target, as a tuple; None if none does.
 
-    Closures are adjoined incrementally down the prefix tree.  Module level
-    for the reason given at _branch.
+    Closures are adjoined incrementally down the prefix tree.  target bounds
+    every closure reached here, so _adjoin may stop growing once it is hit.
+    Module level for the reason given at _branch.
     """
-    n = len(product)
-    full = (1 << n) - 1
-    need = k - len(u)
     if need == 0:
-        return tuple(u) if cl == full else None
-    for x in range(u[-1] + 1 if u else 0, n - need + 1):
+        return tuple(u) if cl == target else None
+    for x in range(lo, hi - need + 1):
         got = _first_generating(
-            product, right, k, u + [x], core._adjoin(product, right, u, cl, x, full)
+            product, right, need - 1, u + [x],
+            core._adjoin(product, right, u, cl, x, target), x + 1, hi, target,
         )
         if got is not None:
             return got
     return None
+
+
+def _unit_mask(product) -> int:
+    """The group of units as a mask, or 0 when the table has no identity."""
+    ids = range(len(product))
+    e = next(
+        (e for e in ids if all(product[e][x] == x and product[x][e] == x for x in ids)),
+        None,
+    )
+    if e is None:
+        return 0
+    # ab = e gives ba = e in a finite monoid, so a is a unit iff e is in its row
+    return sum(1 << a for a, row in enumerate(product) if e in row)
+
+
+def _smallest_generating(product, right, u: list[int], cl: int,
+                         lo: int, hi: int, target: int) -> tuple[int, ...]:
+    """The smallest lex-first extension of u by ids in lo..hi-1 that reaches target."""
+    for need in range(hi - lo + 1):
+        got = _first_generating(product, right, need, u, cl, lo, hi, target)
+        if got is not None:
+            return got
+    raise AssertionError("the search window does not reach its target")
 
 
 def lower_rank(table: SemigroupTable) -> SearchOutcome:
@@ -201,14 +226,30 @@ def lower_rank(table: SemigroupTable) -> SearchOutcome:
 
     Sizes are tried in ascending order, so the returned size k also certifies
     that no generating subset of size k - 1 exists.
+
+    A monoid whose units G are the ids 0..g-1, with 0 < g < N, as in End(B_n),
+    is split at G: r2 = rank(G) + relrank(S : G) (Howie, Ruškuc and Higgins,
+    1998).  In a finite monoid ab = u, a unit, gives a(bu^-1) = e, and a
+    right-invertible element is a unit; likewise for b.  So a product is a unit
+    only if every factor is one, and in every generating set X, X ∩ G
+    generates G.  For any P generating G, <P ∪ A> = <G ∪ A>.  The minimum
+    generating sets are thus exactly the unions of a minimum P ⊆ G and a
+    minimum A ⊆ S - G with <G ∪ A> = S, and as the units come first, a sorted
+    witness is P's tuple followed by A's: the lex-first P, then the lex-first
+    A, is the lex-first minimum.  Other tables take one search over all ids.
     """
     product = table.product
+    n = table.size
+    full = (1 << n) - 1
     right = core._right_chunks(product)
-    for k in range(1, table.size + 1):
-        witness = _first_generating(product, right, k, [], 0)
-        if witness is not None:
-            return SearchOutcome(k, witness)
-    raise AssertionError("the full set always generates")
+    units = _unit_mask(product)
+    g = units.bit_length()
+    if units == (1 << g) - 1 and 0 < g < n:
+        prefix = _smallest_generating(product, right, [], 0, 0, g, units)
+        witness = _smallest_generating(product, right, list(prefix), units, g, n, full)
+    else:
+        witness = _smallest_generating(product, right, [], 0, 0, n, full)
+    return SearchOutcome(len(witness), witness)
 
 
 def small_rank(table: SemigroupTable) -> int:

@@ -1,6 +1,7 @@
 """Deterministic pools of small associative tables for engine property tests."""
 
 import random
+from itertools import product
 
 from sgranks.core import SemigroupTable, validate
 
@@ -43,14 +44,36 @@ def _random_transformation_monoid(rng, max_size=5):
                     if len(maps) > max_size:
                         return None
         k += 1
+    return composition_table(maps)
+
+
+def composition_table(maps):
+    """The table of a list of partial self-maps of 0..p-1, closed under "f
+    then g", with ids in list order; None marks an undefined point."""
     index = {f: i for i, f in enumerate(maps)}
-    rows = [
-        [index[tuple(g[x] for x in f)] for g in maps]
+    table = SemigroupTable.from_rows([
+        [index[tuple(None if y is None else g[y] for y in f)] for g in maps]
         for f in maps
-    ]
-    table = SemigroupTable.from_rows(rows)
+    ])
     assert validate(table).ok
     return table
+
+
+def full_transformation_monoid(points):
+    """T_points, all self-maps, larger images first: the permutations, its
+    units, are the first points! ids."""
+    maps = product(range(points), repeat=points)
+    return composition_table(sorted(maps, key=lambda f: -len(set(f))))
+
+
+def symmetric_inverse_monoid(points):
+    """I_points, the partial injections, larger domains first: the
+    permutations, its units, are the first points! ids."""
+    maps = [
+        f for f in product([None, *range(points)], repeat=points)
+        if len({y for y in f if y is not None}) == sum(y is not None for y in f)
+    ]
+    return composition_table(sorted(maps, key=lambda f: f.count(None)))
 
 
 def random_semigroup_pool(count=50, seed=20260823):
@@ -109,6 +132,16 @@ def direct_product(s, t):  # (a, b)(c, d) = (ac, bd), with id a * |t| + b
         [s.product[a // m][b // m] * m + t.product[a % m][b % m] for b in range(s.size * m)]
         for a in range(s.size * m)
     ])
+
+
+def with_zero(table):  # table with a new last id z, where z*a = a*z = z
+    n = table.size
+    return SemigroupTable.from_rows([list(row) + [n] for row in table.product] + [[n] * (n + 1)])
+
+
+def relabel(table, perm):  # old id a becomes perm[a]
+    old = sorted(range(table.size), key=perm.__getitem__)  # old[perm[a]] == a
+    return SemigroupTable.from_rows([[perm[table.product[a][b]] for b in old] for a in old])
 
 
 def special_tables():

@@ -129,6 +129,14 @@ def test_ranks_r1_of_a_large_band(capsys, tmp_path):
     assert (code, out, err) == (0, "table: 24 elements\nr1 = 24   [fast-path]\n", "")
 
 
+def test_ranks_r2_of_end_b5_within_budget(capsys):
+    code, out, _ = run(capsys, "ranks", "--n", "5", "--which", "r2", "--budget", "1", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ranks"] == {"r2": 4}
+    assert data["budget_exhausted"] is False
+
+
 def test_ranks_rejects_non_associative_table(capsys, tmp_path):
     bad = tmp_path / "bad.tbl"
     bad.write_text("2\n1 0\n0 0\n")

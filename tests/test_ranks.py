@@ -14,6 +14,7 @@ from sgranks.core import (
 from sgranks.ranks import (
     Budget,
     SearchOutcome,
+    _unit_mask,
     intermediate_rank,
     large_rank,
     lower_rank,
@@ -30,12 +31,16 @@ from _tablegen import (
     chain,
     cyclic_group,
     direct_product,
+    full_transformation_monoid,
     left_zero_band,
     null_semigroup,
     random_semigroup_pool,
     rectangular_band,
+    relabel,
     semilattice,
     special_tables,
+    symmetric_inverse_monoid,
+    with_zero,
 )
 
 
@@ -169,6 +174,55 @@ def test_lower_rank_reports_lex_first_witness(monoids):
         gen and mask.bit_count() == 4 and ids_of(mask) < out3.witness
         for mask, gen in enumerate(flags.generating)
     )
+
+
+def lex_first_generating(table):
+    """(size, ids) of the lex-first smallest generating subset, by definition."""
+    flags = subset_flags(table)
+    return min((mask.bit_count(), ids_of(mask)) for mask, gen in enumerate(flags.generating) if gen)
+
+
+def units_first(table):
+    """True when the units are the ids 0..g-1 for some 0 < g < N."""
+    units = _unit_mask(table.product)
+    return 0 < units.bit_length() < table.size and units & (units + 1) == 0
+
+
+def test_lower_rank_split_matches_oracle(monoids):
+    # monoids whose units come first take the search split at the group of
+    # units; relabelled so that they do not, and with their units spread out
+    # as in C_k x chain(m), they take the plain search
+    unit_first = [full_transformation_monoid(2), symmetric_inverse_monoid(2)]
+    unit_first += [with_zero(cyclic_group(k)) for k in range(1, 7)]
+    shapes = unit_first[:2] + [with_zero(cyclic_group(3)), direct_product(cyclic_group(2), chain(2))]
+    assert [_unit_mask(t.product) for t in shapes + [left_zero_band(3)]] == [0b11, 0b11, 0b111, 0b1010, 0]
+    unit_first += [monoids[n].table for n in (1, 2, 3)]
+    plain = [direct_product(cyclic_group(k), chain(m)) for k, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 5))]
+    rng = random.Random(7)
+    for table in unit_first:
+        assert units_first(table), table.product
+        for _ in range(3):
+            perm = list(range(table.size))
+            while True:
+                rng.shuffle(perm)
+                moved = relabel(table, perm)
+                if not units_first(moved):
+                    plain.append(moved)
+                    break
+    for table in plain:
+        assert not units_first(table), table.product
+    for table in unit_first + plain:
+        out = lower_rank(table)
+        assert (out.value, out.witness) == lex_first_generating(table), table.product
+        assert out.exact and out.method == "exhaustive"
+
+
+def test_lower_rank_end_b5():
+    # 120 automorphisms then 6 constants: the split searches a pair of
+    # automorphisms, then a pair of constants
+    table = enumerate_endomorphisms_structural(5).table
+    assert units_first(table)
+    assert lower_rank(table) == SearchOutcome(4, (1, 32, 120, 125))
 
 
 def test_intermediate_witnesses_replay(monoids):
