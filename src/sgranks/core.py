@@ -51,9 +51,6 @@ class SemigroupTable:
     def size(self) -> int:
         return len(self.product)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
-
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 

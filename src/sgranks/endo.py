@@ -111,9 +111,6 @@ class Endomorphism:
             return f"xi_({self.value},{self.value})"
         return "xi_theta"
 
-    def __call__(self, eid: int) -> int:
-        return self.image[eid]
-
 
 def phi_of_perm(sigma, n: int) -> Endomorphism:
     """The automorphism (i, j) -> (i sigma, j sigma), fixing the zero."""

@@ -17,15 +17,16 @@ the products in O(N^2) (see small_rank).
 Searches enumerate candidate subsets in lexicographic order over ascending id
 tuples, so every reported witness is deterministic: the first optimum in that
 order.  The one exception is the r5 prime-subset certificate, whose tie-break
-scans largest ids first (see smallest_prime_subset).  The r2 search of a
-monoid whose units come first, as in End(B_n), splits into a search for the
-group of units and one for the rest (see lower_rank), with the same result.
+scans largest ids first (see smallest_prime_subset).  The r2 search splits
+into a search for the group of units and one for the rest (see lower_rank),
+with the same result as one search over all ids.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 
 from . import core, reference
@@ -75,29 +76,39 @@ class _Clock:
             raise _Exhausted
 
 
-def _independent_sets(table: SemigroupTable, clock: _Clock | None = None):
+class _Search:
+    """What the searches of one table share: the product, the full mask, the
+    clock (None without a budget) and the right-translation tables that
+    core._adjoin reads, built on first use and freed with the context."""
+
+    def __init__(self, table: SemigroupTable, budget: Budget | None):
+        self.product = table.product
+        self.full = (1 << table.size) - 1
+        self.clock = None if budget is None else budget.clock()
+
+    @cached_property
+    def right(self) -> list[list[list[int]]]:
+        return core._right_chunks(self.product)
+
+
+def _independent_sets(s: _Search):
     """Yield (ids, closure_mask) for every independent subset, in lex order.
 
     Carries the closure of the current subset U and, for each a in U, the
     closure of U - {a}; the generators behind each closure are U or U - {a}, so
     extending by x updates each with core._adjoin, and a branch dies on the
-    first extension that makes some element redundant.  The right-translation
-    tables that core._adjoin reads are built once, up front, and freed when
-    the walk ends.
+    first extension that makes some element redundant.
     """
-    product = table.product
-    right = core._right_chunks(product)
-    yield from _branch(product, right, clock, [], [], 0)
+    yield from _branch(s, [], [], 0)
 
 
-def _branch(product, right, clock, u: list[int], minus: list[int], whole: int):
+def _branch(s: _Search, u: list[int], minus: list[int], whole: int):
     # module level, not nested in _independent_sets: a nested recursive
-    # function is a reference cycle, which would keep right alive past the
-    # walk until the cyclic collector ran
+    # function is a reference cycle, which would keep the tables alive past
+    # the walk until the cyclic collector ran
     yield tuple(u), whole
-    n = len(product)
-    full = (1 << n) - 1
-    for x in range(u[-1] + 1 if u else 0, n):
+    product, right, clock, full = s.product, s.right, s.clock, s.full
+    for x in range(u[-1] + 1 if u else 0, len(product)):
         if clock is not None:
             clock.tick()
         if whole >> x & 1:
@@ -111,8 +122,7 @@ def _branch(product, right, clock, u: list[int], minus: list[int], whole: int):
         else:
             ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
             yield from _branch(
-                product, right, clock, u + [x], ext,
-                core._adjoin(product, right, u, whole, x, full),
+                s, u + [x], ext, core._adjoin(product, right, u, whole, x, full)
             )
 
 
@@ -131,9 +141,7 @@ class SearchOutcome:
     method: str = "exhaustive"
 
 
-def _walk(
-    table: SemigroupTable, budget: Budget | None, stop_at: int | None = None
-) -> tuple[SearchOutcome, SearchOutcome]:
+def _walk(s: _Search, stop_at: int | None = None) -> tuple[SearchOutcome, SearchOutcome]:
     """r4 and r3 from one walk of _independent_sets: (largest, largest generating).
 
     Only a strictly larger set replaces the one held, so each witness is the
@@ -141,13 +149,12 @@ def _walk(
     stop_at elements, if given; both outcomes then count as exact, as they do
     for a complete walk.  A cut budget leaves both inexact.
     """
-    clock = None if budget is None else budget.clock()
-    full = (1 << table.size) - 1
+    full = s.full
     largest: tuple[int, ...] = ()
     generating: tuple[int, ...] = ()
     exact = True
     try:
-        for ids, cl in _independent_sets(table, clock):
+        for ids, cl in _independent_sets(s):
             if len(ids) > len(largest):
                 largest = ids
                 if stop_at is not None and len(ids) >= stop_at:
@@ -169,15 +176,15 @@ def _walk(
 
 def upper_rank(table: SemigroupTable, budget: Budget | None = None) -> SearchOutcome:
     """r4: a largest independent subset (lex-first among the largest found)."""
-    return _walk(table, budget)[0]
+    return _walk(_Search(table, budget))[0]
 
 
 def intermediate_rank(table: SemigroupTable, budget: Budget | None = None) -> SearchOutcome:
     """r3: a largest independent generating subset."""
-    return _walk(table, budget)[1]
+    return _walk(_Search(table, budget))[1]
 
 
-def _first_generating(product, right, need: int, u: list[int], cl: int,
+def _first_generating(s: _Search, need: int, u: list[int], cl: int,
                       lo: int, hi: int, target: int):
     """Lex-first way to extend the prefix u (closure cl) by need ids from
     lo..hi-1 so that the closure becomes target, as a tuple; None if none does.
@@ -190,8 +197,8 @@ def _first_generating(product, right, need: int, u: list[int], cl: int,
         return tuple(u) if cl == target else None
     for x in range(lo, hi - need + 1):
         got = _first_generating(
-            product, right, need - 1, u + [x],
-            core._adjoin(product, right, u, cl, x, target), x + 1, hi, target,
+            s, need - 1, u + [x],
+            core._adjoin(s.product, s.right, u, cl, x, target), x + 1, hi, target,
         )
         if got is not None:
             return got
@@ -211,14 +218,25 @@ def _unit_mask(product) -> int:
     return sum(1 << a for a, row in enumerate(product) if e in row)
 
 
-def _smallest_generating(product, right, u: list[int], cl: int,
+def _smallest_generating(s: _Search, u: list[int], cl: int,
                          lo: int, hi: int, target: int) -> tuple[int, ...]:
     """The smallest lex-first extension of u by ids in lo..hi-1 that reaches target."""
     for need in range(hi - lo + 1):
-        got = _first_generating(product, right, need, u, cl, lo, hi, target)
+        got = _first_generating(s, need, u, cl, lo, hi, target)
         if got is not None:
             return got
     raise AssertionError("the search window does not reach its target")
+
+
+def _lower_rank(s: _Search) -> SearchOutcome:
+    """r2 on a search context; see lower_rank."""
+    units = _unit_mask(s.product)
+    g = units.bit_length()
+    if units != (1 << g) - 1:
+        units = g = 0  # a unit after a non-unit: split at the empty prefix
+    prefix = _smallest_generating(s, [], 0, 0, g, units)
+    witness = _smallest_generating(s, list(prefix), units, g, len(s.product), s.full)
+    return SearchOutcome(len(witness), witness)
 
 
 def lower_rank(table: SemigroupTable) -> SearchOutcome:
@@ -227,29 +245,19 @@ def lower_rank(table: SemigroupTable) -> SearchOutcome:
     Sizes are tried in ascending order, so the returned size k also certifies
     that no generating subset of size k - 1 exists.
 
-    A monoid whose units G are the ids 0..g-1, with 0 < g < N, as in End(B_n),
-    is split at G: r2 = rank(G) + relrank(S : G) (Howie, Ruškuc and Higgins,
-    1998).  In a finite monoid ab = u, a unit, gives a(bu^-1) = e, and a
+    The search splits at the group of units G, when G is the ids 0..g-1, as in
+    End(B_n): r2 = rank(G) + relrank(S : G) (Howie, Ruškuc and Higgins, 1998).
+    In a finite monoid ab = u, a unit, gives a(bu^-1) = e, and a
     right-invertible element is a unit; likewise for b.  So a product is a unit
     only if every factor is one, and in every generating set X, X ∩ G
     generates G.  For any P generating G, <P ∪ A> = <G ∪ A>.  The minimum
     generating sets are thus exactly the unions of a minimum P ⊆ G and a
     minimum A ⊆ S - G with <G ∪ A> = S, and as the units come first, a sorted
     witness is P's tuple followed by A's: the lex-first P, then the lex-first
-    A, is the lex-first minimum.  Other tables take one search over all ids.
+    A, is the lex-first minimum.  With no identity g = 0 and P = (); a group
+    has A = (); units that are not the first ids are searched as if g = 0.
     """
-    product = table.product
-    n = table.size
-    full = (1 << n) - 1
-    right = core._right_chunks(product)
-    units = _unit_mask(product)
-    g = units.bit_length()
-    if units == (1 << g) - 1 and 0 < g < n:
-        prefix = _smallest_generating(product, right, [], 0, 0, g, units)
-        witness = _smallest_generating(product, right, list(prefix), units, g, n, full)
-    else:
-        witness = _smallest_generating(product, right, [], 0, 0, n, full)
-    return SearchOutcome(len(witness), witness)
+    return _lower_rank(_Search(table, None))
 
 
 def small_rank(table: SemigroupTable) -> int:
@@ -396,29 +404,30 @@ def rank_report(
 ) -> RankReport:
     """Compute the requested ranks (all five by default) with certificates.
 
-    The budget, if any, applies to the one walk that finds both r3 and r4; when
-    it is cut short their records are inexact bounds and budget_exhausted is
-    set.  A found r3 is never below r2, but a cut walk may find no generating
+    r2 and the walk share one search context.  The budget, if any, applies to
+    the one walk that finds both r3 and r4, timed from the start of the report;
+    when it is cut short their records are inexact bounds and budget_exhausted
+    is set.  A found r3 is never below r2, but a cut walk may find no generating
     set at all; then r3 steps down the chain to the r2 record, and r4 to r3's
     if smaller (sound: a smallest generating set is independent), with the
     method "chain-step", so the reported chain r1 <= r2 <= r3 <= r4 <= r5
-    always holds.  Every certificate
-    is replayed through the core predicates and the chain is re-checked; a
-    failure raises.
+    always holds.  Every certificate is replayed through the core predicates
+    and the chain is re-checked; a failure raises.
     """
     wanted = set(RANK_KEYS) if which is None else set(which)
     unknown = wanted - set(RANK_KEYS)
     if unknown:
         raise ValueError(f"unknown rank keys: {sorted(unknown)}")
 
+    s = _Search(table, budget)
     found: dict[str, SearchOutcome] = {}
     if "r1" in wanted:
         found["r1"] = SearchOutcome(small_rank(table), None, method="fast-path")
     if wanted & {"r2", "r3", "r4"}:
         # r3/r4 may step down to the r2 record, so compute it for them too
-        found["r2"] = lower_rank(table)
+        found["r2"] = _lower_rank(s)
     if wanted & {"r3", "r4"}:
-        found["r4"], found["r3"] = _walk(table, budget)
+        found["r4"], found["r3"] = _walk(s)
         for key, below in (("r3", "r2"), ("r4", "r3")):
             low = found[below]
             if found[key].value < low.value:
@@ -504,7 +513,7 @@ def verify_conjecture(
     if len(witness) != n + 2 or not core.is_independent(witness, table):
         raise RuntimeError("guaranteed lower-bound witness failed; engine fault")
 
-    best, _ = _walk(table, budget, stop_at=n + 3)
+    best, _ = _walk(_Search(table, budget), stop_at=n + 3)
     if best.value >= n + 3:
         if not core.is_independent(best.witness, table):
             raise RuntimeError("refutation candidate failed re-verification")

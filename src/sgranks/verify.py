@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import core, ranks, reference
 from .endo import (
     AUTOMORPHISM,
     NONZERO_CONSTANT,
-    ZERO_CONSTANT,
     EndoMonoid,
     enumerate_endomorphisms_oracle,
     enumerate_endomorphisms_structural,
@@ -131,82 +131,64 @@ def _check_aut_composition(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _check_aut_products(m: EndoMonoid) -> CheckResult:
+def _word_law_holds(m: EndoMonoid, seed: int, law, triples: bool = False) -> bool:
+    """law(product, word) on every pair, on every triple if triples is set and
+    there are at most 3M of them, then on _WORD_SAMPLES random words of 3 to 6
+    factors drawn from random.Random(seed); stops at the first failure."""
     p = m.table.product
-    kinds = [f.kind for f in m.elements]
     size = len(m)
-    ok = all(
-        (kinds[p[a][b]] == AUTOMORPHISM)
-        == (kinds[a] == AUTOMORPHISM and kinds[b] == AUTOMORPHISM)
-        for a in range(size)
-        for b in range(size)
-    )
-    rng = random.Random(_WORD_SEED)
+    ids = range(size)
+    # map feeds the law a row at a time from C, with no Python frame per word
+    if not all(all(map(law, row, zip(repeat(a), ids))) for a, row in enumerate(p)):
+        return False
+    if triples and size ** 3 <= 3_000_000 and not all(
+        all(map(law, p[ab], zip(repeat(a), repeat(b), ids)))
+        for a, row in enumerate(p)
+        for b, ab in enumerate(row)
+    ):
+        return False
+    rng = random.Random(seed)
     for _ in range(_WORD_SAMPLES):
         word = [rng.randrange(size) for _ in range(rng.randint(3, 6))]
-        is_aut = kinds[_word_product(p, word)] == AUTOMORPHISM
-        if is_aut != all(kinds[a] == AUTOMORPHISM for a in word):
-            ok = False
-            break
+        if not law(_word_product(p, word), word):
+            return False
+    return True
+
+
+def _check_aut_products(m: EndoMonoid) -> CheckResult:
+    auts = frozenset(a for a, f in enumerate(m.elements) if f.kind == AUTOMORPHISM)
     return _result(
         "automorphism-products",
-        ok,
+        _word_law_holds(m, _WORD_SEED, lambda prod, word: (prod in auts) == auts.issuperset(word)),
         "a product is an automorphism exactly when every factor is",
     )
 
 
 def _check_zero_products(m: EndoMonoid) -> CheckResult:
-    p = m.table.product
-    size = len(m)
     z = m.zero_id
-    ok = all(p[a][b] != z or a == z or b == z for a in range(size) for b in range(size))
-    if size ** 3 <= 3_000_000:
-        ok = ok and all(
-            _word_product(p, (a, b, c)) != z or z in (a, b, c)
-            for a in range(size)
-            for b in range(size)
-            for c in range(size)
-        )
-    rng = random.Random(_WORD_SEED + 1)
-    for _ in range(_WORD_SAMPLES):
-        word = [rng.randrange(size) for _ in range(rng.randint(3, 6))]
-        if _word_product(p, word) == z and z not in word:
-            ok = False
-            break
     return _result(
         "zero-products",
-        ok,
+        _word_law_holds(m, _WORD_SEED + 1, lambda prod, word: prod != z or z in word, triples=True),
         "a product equals the zero constant only when some factor is the zero constant",
     )
 
 
 def _check_nonzero_constant_products(m: EndoMonoid) -> CheckResult:
-    p = m.table.product
-    kinds = [f.kind for f in m.elements]
-    size = len(m)
+    consts = frozenset(a for a, f in enumerate(m.elements) if f.kind == NONZERO_CONSTANT)
     z = m.zero_id
 
-    def law(word) -> bool:
-        prod = _word_product(p, word)
-        lhs = kinds[prod] == NONZERO_CONSTANT
-        rhs = prod != z and any(kinds[a] == NONZERO_CONSTANT for a in word)
-        return lhs == rhs
+    def law(prod, word) -> bool:
+        return (prod in consts) == (prod != z and not consts.isdisjoint(word))
 
-    ok = all(law((a, b)) for a in range(size) for b in range(size))
-    rng = random.Random(_WORD_SEED + 2)
-    ok = ok and all(
-        law([rng.randrange(size) for _ in range(rng.randint(3, 6))])
-        for _ in range(_WORD_SAMPLES)
-    )
     return _result(
         "nonzero-constant-products",
-        ok,
+        _word_law_holds(m, _WORD_SEED + 2, law),
         "a product is a nonzero constant exactly when a factor is one and the product is not the zero constant",
     )
 
 
-def _check_generating_sets_contain_constants(m: EndoMonoid) -> CheckResult:
-    if m.n > 3:
+def _check_generating_sets_contain_constants(m: EndoMonoid, flags) -> CheckResult:
+    if flags is None:
         return CheckResult(
             "generating-sets-contain-constants", SKIPPED,
             f"full subset enumeration capped at n <= 3, got n={m.n}",
@@ -214,8 +196,7 @@ def _check_generating_sets_contain_constants(m: EndoMonoid) -> CheckResult:
     # masks over the ids: automorphisms first, then nonzero constants, zero last
     z = m.zero_id
     nonzero = (1 << z) - (1 << math.factorial(m.n))
-    flags = reference.subset_flags(m.table).generating
-    generating = [mask for mask, gen in enumerate(flags) if gen]
+    generating = [mask for mask, gen in enumerate(flags.generating) if gen]
     return _result(
         "generating-sets-contain-constants",
         all(mask >> z & 1 and mask & nonzero for mask in generating),
@@ -223,14 +204,14 @@ def _check_generating_sets_contain_constants(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _check_independent_generating_bound(m: EndoMonoid) -> CheckResult:
-    if m.n > 3:
+def _check_independent_generating_bound(m: EndoMonoid, flags) -> CheckResult:
+    if flags is None:
         return CheckResult(
             "independent-generating-bound", SKIPPED,
             f"full subset enumeration capped at n <= 3, got n={m.n}",
         )
     # the bound does not apply at n = 1, where only the whole monoid generates
-    largest = reference.subset_flags(m.table).ranks()["r3"]
+    largest = flags.ranks()["r3"]
     limit = m.n + 1 if m.n >= 2 else len(m)
     return _result(
         "independent-generating-bound",
@@ -239,10 +220,9 @@ def _check_independent_generating_bound(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _check_minimum_generating(m: EndoMonoid) -> CheckResult:
+def _check_minimum_generating(m: EndoMonoid, got: ranks.SearchOutcome) -> CheckResult:
     n = m.n
     expected = 3 if n <= 2 else 4
-    got = ranks.lower_rank(m.table)
     ok = got.value == expected
     if n >= 2:
         witness = generating_witness_ids(m)
@@ -253,10 +233,9 @@ def _check_minimum_generating(m: EndoMonoid) -> CheckResult:
     return _result("minimum-generating-size", ok, detail)
 
 
-def _check_independent_generating(m: EndoMonoid, budget) -> CheckResult:
+def _check_independent_generating(m: EndoMonoid, got: ranks.SearchOutcome) -> CheckResult:
     n = m.n
     expected = 3 if n == 1 else n + 1
-    got = ranks.intermediate_rank(m.table, budget)
     if not got.exact:
         return CheckResult(
             "independent-generating-size", SKIPPED,
@@ -303,14 +282,11 @@ def _check_small_rank(m: EndoMonoid) -> CheckResult:
     return _result("small-rank", ok, detail)
 
 
-def _check_prime_subset(m: EndoMonoid) -> CheckResult:
-    value, prime = ranks.large_rank(m.table)
-    expected = len(m)
-    ok = prime == frozenset({m.zero_id}) and value == expected
+def _check_prime_subset(m: EndoMonoid, got: ranks.SearchOutcome) -> CheckResult:
     return _result(
         "prime-subset-threshold",
-        ok,
-        f"smallest prime subset is the zero constant alone, so r5 = {value} = monoid size",
+        got.witness == (m.zero_id,) and got.value == len(m),
+        f"smallest prime subset is the zero constant alone, so r5 = {got.value} = monoid size",
     )
 
 
@@ -332,8 +308,14 @@ def _check_symmetric_group_ranks(m: EndoMonoid, budget) -> CheckResult:
 
 
 def run_checks(n: int, budget: ranks.Budget | None = None) -> list[CheckResult]:
-    """Run the full checklist for End(B_n), returning one result per claim."""
+    """Run the full checklist for End(B_n), returning one result per claim.
+
+    r2, r3 and r5 come from one rank_report, which replays their certificates
+    and checks the chain; the reference oracle runs once, for n <= 3.
+    """
     m = enumerate_endomorphisms_structural(n)
+    found = ranks.rank_report(m.table, budget, n=n, which=("r2", "r3", "r5")).records
+    flags = reference.subset_flags(m.table) if n <= 3 else None
     return [
         _check_monoid_structure(m),
         _check_associativity(m),
@@ -342,12 +324,12 @@ def run_checks(n: int, budget: ranks.Budget | None = None) -> list[CheckResult]:
         _check_aut_products(m),
         _check_zero_products(m),
         _check_nonzero_constant_products(m),
-        _check_generating_sets_contain_constants(m),
-        _check_independent_generating_bound(m),
-        _check_minimum_generating(m),
-        _check_independent_generating(m, budget),
+        _check_generating_sets_contain_constants(m, flags),
+        _check_independent_generating_bound(m, flags),
+        _check_minimum_generating(m, found["r2"]),
+        _check_independent_generating(m, found["r3"]),
         _check_independent_lower_bound(m),
         _check_small_rank(m),
-        _check_prime_subset(m),
+        _check_prime_subset(m, found["r5"]),
         _check_symmetric_group_ranks(m, budget),
     ]

@@ -39,11 +39,11 @@ def test_perm_helpers():
 
 def test_phi_of_perm_maps_pairs_componentwise():
     phi = phi_of_perm((2, 1), 2)
-    assert phi(element_to_id((1, 2), 2)) == element_to_id((2, 1), 2)
-    assert phi(0) == 0
+    assert phi.image[element_to_id((1, 2), 2)] == element_to_id((2, 1), 2)
+    assert phi.image[0] == 0
     phi3 = phi_of_perm(full_cycle(3), 3)
-    assert phi3(element_to_id((1, 1), 3)) == element_to_id((2, 2), 3)
-    assert phi3(element_to_id((3, 1), 3)) == element_to_id((1, 2), 3)
+    assert phi3.image[element_to_id((1, 1), 3)] == element_to_id((2, 2), 3)
+    assert phi3.image[element_to_id((3, 1), 3)] == element_to_id((1, 2), 3)
     with pytest.raises(ValueError):
         phi_of_perm((1, 1), 2)
 

@@ -318,7 +318,8 @@ def test_end_b5_walks_cut_at_1000_nodes():
 
 def test_search_tables_are_released(monkeypatch, monoids):
     # the right-translation tables of a search must be freed when it returns,
-    # cut or not, and not be left in a reference cycle for the cyclic collector
+    # cut or not, and not be left in a reference cycle for the cyclic collector;
+    # a report builds them once for r2 and the walk together
     class Tables(list):  # a plain list cannot be weakly referenced
         pass
 
@@ -338,6 +339,11 @@ def test_search_tables_are_released(monkeypatch, monoids):
         assert not upper_rank(table, Budget(seconds=None, max_nodes=100)).exact
         assert lower_rank(table).value == 4
         assert len(built) == 3
+        assert all(ref() is None for ref in built)
+        assert rank_report(table, n=4).ranks == END_B_RANKS[4]
+        assert len(built) == 4
+        assert rank_report(table, Budget(seconds=None, max_nodes=100)).budget_exhausted
+        assert len(built) == 5
         assert all(ref() is None for ref in built)
     finally:
         gc.enable()
@@ -393,9 +399,9 @@ def test_cut_report_text(monoids):
 # On End(B_2): the identity alone generates nothing else, the whole monoid is
 # not independent, and the identity is not prime, as (1 2)(1 2) = id.
 _FAILING_PRODUCERS = {
-    "r2": ("lower_rank", lambda table: SearchOutcome(1, (0,))),
-    "r3": ("_walk", lambda table, budget: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
-    "r4": ("_walk", lambda table, budget: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
+    "r2": ("_lower_rank", lambda s: SearchOutcome(1, (0,))),
+    "r3": ("_walk", lambda s: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
+    "r4": ("_walk", lambda s: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
     "r5": ("large_rank", lambda table: (5, frozenset({0}))),
 }
 
@@ -463,13 +469,13 @@ def test_search_engine_on_degenerate_tables(degenerate_tables):
 
 
 def test_independent_set_enumeration_matches_definition(monoids):
-    from sgranks.ranks import _independent_sets
+    from sgranks.ranks import _independent_sets, _Search
 
     for n in (2, 3):
         table = monoids[n].table
         flags = subset_flags(table)
         found = set()
-        for ids, cl in _independent_sets(table):
+        for ids, cl in _independent_sets(_Search(table, None)):
             # the incrementally adjoined closure matches the one from scratch
             assert cl == flags.closures[sum(1 << a for a in ids)]
             found.add(ids)
