@@ -19,7 +19,9 @@ tuples, so every reported witness is deterministic: the first optimum in that
 order.  The one exception is the r5 prime-subset certificate, whose tie-break
 scans largest ids first (see smallest_prime_subset).  The r2 search splits
 into a search for the group of units and one for the rest (see lower_rank),
-with the same result as one search over all ids.
+with the same result as one search over all ids.  The r3/r4 walk skips every
+subset that is not lex-min in its orbit under the conjugations by units, with
+the same result as the plain walk (see _independent_sets).
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ class _Clock:
 
 class _Search:
     """What the searches of one table share: the product, the full mask, the
-    clock (None without a budget) and the right-translation tables that
-    core._adjoin reads, built on first use and freed with the context."""
+    clock (None without a budget), and, each computed on first use and freed
+    with the context, the group of units, its conjugations and the
+    right-translation tables that core._adjoin reads."""
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
         self.product = table.product
@@ -90,40 +93,90 @@ class _Search:
     def right(self) -> list[list[list[int]]]:
         return core._right_chunks(self.product)
 
+    @cached_property
+    def units(self) -> int:
+        return _unit_mask(self.product)
+
+    @cached_property
+    def conjugations(self) -> list[tuple[int, ...]]:
+        """The distinct non-identity maps x -> g*x*g^-1, g a unit, as id tuples.
+
+        Each is an automorphism of the (associative) table.  A node budget
+        gets none, so that it counts the nodes of the plain lex walk.
+        """
+        if self.clock is not None and self.clock.max_nodes is not None:
+            return []
+        product = self.product
+        units = list(core._iter_bits(self.units))
+        e = next((a for a in units if product[a][a] == a), None)  # a group's one idempotent
+        ids = range(len(product))
+        perms = set()
+        for g in units:
+            h = next(h for h in units if product[g][h] == e)
+            perms.add(tuple(product[product[g][x]][h] for x in ids))
+        perms.discard(tuple(ids))
+        return sorted(perms)
+
 
 def _independent_sets(s: _Search):
-    """Yield (ids, closure_mask) for every independent subset, in lex order.
+    """Yield (ids, closure_mask) for every independent subset that is lex-min
+    in its orbit under s.conjugations, in lex order.
 
     Carries the closure of the current subset U and, for each a in U, the
     closure of U - {a}; the generators behind each closure are U or U - {a}, so
     extending by x updates each with core._adjoin, and a branch dies on the
     first extension that makes some element redundant.
+
+    It also carries the image of U under each conjugation, as a mask, and
+    skips U + [x] when some image of it is lex-smaller, before any closure
+    (orderly generation: Read, "Every one a winner", 1978).  Two sets of one
+    size compare as their ascending id tuples do: the smaller holds the lowest
+    id in which they differ.  These masks put id 0 in the highest bit, so the
+    lex-smaller set is the larger int.  Removing the largest element of a
+    lex-min set leaves a lex-min set, so every lex-min independent set is
+    still reached, and only those.  Conjugations preserve independence and
+    generation, so the lex-first largest independent set, and the lex-first
+    largest generating one, are lex-min in their orbits and the walk's
+    witnesses are unchanged; so is the first set of any size, where a walk
+    given stop_at ends.  With no conjugations this is the plain lex walk over
+    all independent subsets.
     """
-    yield from _branch(s, [], [], 0)
+    perms = s.conjugations
+    last = len(s.product) - 1
+    images = [[1 << last - p[x] for p in perms] for x in range(last + 1)]
+    yield from _branch(s, images, [], [], 0, 0, [0] * len(perms))
 
 
-def _branch(s: _Search, u: list[int], minus: list[int], whole: int):
+def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
+            whole: int, rev: int, conj: list[int]):
     # module level, not nested in _independent_sets: a nested recursive
     # function is a reference cycle, which would keep the tables alive past
-    # the walk until the cyclic collector ran
+    # the walk until the cyclic collector ran.  rev is u as a mask with id 0
+    # the highest bit, conj its images under the conjugations and images[x]
+    # the bits of the images of x.
     yield tuple(u), whole
     product, right, clock, full = s.product, s.right, s.clock, s.full
+    last = len(product) - 1
     for x in range(u[-1] + 1 if u else 0, len(product)):
         if clock is not None:
             clock.tick()
         if whole >> x & 1:
             continue  # x is already generated by u
-        ext = []
-        for i, a in enumerate(u):
-            cl = core._adjoin(product, right, u[:i] + u[i + 1:], minus[i], x, full)
-            if cl >> a & 1:
-                break
-            ext.append(cl)
-        else:
-            ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
-            yield from _branch(
-                s, u + [x], ext, core._adjoin(product, right, u, whole, x, full)
-            )
+        grown = rev | 1 << last - x
+        moved = list(map(int.__or__, conj, images[x]))
+        if max(moved, default=0) <= grown:  # no image of u + [x] is lex-smaller
+            ext = []
+            for i, a in enumerate(u):
+                cl = core._adjoin(product, right, u[:i] + u[i + 1:], minus[i], x, full)
+                if cl >> a & 1:
+                    break
+                ext.append(cl)
+            else:
+                ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
+                yield from _branch(
+                    s, images, u + [x], ext,
+                    core._adjoin(product, right, u, whole, x, full), grown, moved,
+                )
 
 
 @dataclass(frozen=True)
@@ -230,7 +283,7 @@ def _smallest_generating(s: _Search, u: list[int], cl: int,
 
 def _lower_rank(s: _Search) -> SearchOutcome:
     """r2 on a search context; see lower_rank."""
-    units = _unit_mask(s.product)
+    units = s.units
     g = units.bit_length()
     if units != (1 << g) - 1:
         units = g = 0  # a unit after a non-unit: split at the empty prefix

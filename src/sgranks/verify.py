@@ -294,8 +294,8 @@ def _check_symmetric_group_ranks(m: EndoMonoid, budget) -> CheckResult:
     n = m.n
     if n < 2:
         return CheckResult("symmetric-group-ranks", SKIPPED, "degenerate below n = 2")
-    if n > 4:
-        return CheckResult("symmetric-group-ranks", SKIPPED, f"subset search capped at n <= 4, got n={n}")
+    if n > 5:
+        return CheckResult("symmetric-group-ranks", SKIPPED, f"subset search capped at n <= 5, got n={n}")
     report = ranks.rank_report(m.aut_subtable(), budget, which=("r3", "r4"))
     if report.budget_exhausted:
         return CheckResult("symmetric-group-ranks", SKIPPED, "budget exhausted on the automorphism subtable")

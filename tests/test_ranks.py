@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 
@@ -223,6 +224,19 @@ def test_lower_rank_end_b5():
     table = enumerate_endomorphisms_structural(5).table
     assert units_first(table)
     assert lower_rank(table) == SearchOutcome(4, (1, 32, 120, 125))
+
+
+def test_end_b5_rank_report():
+    # the walk is reduced by the 119 conjugations, so this is exact in about
+    # half a second; r3 is four adjacent transpositions and two constants
+    table = enumerate_endomorphisms_structural(5).table
+    assert rank_report(table, n=5).records == {
+        "r1": SearchOutcome(1, None, True, "fast-path"),
+        "r2": SearchOutcome(4, (1, 32, 120, 125), True, "exhaustive"),
+        "r3": SearchOutcome(6, (1, 2, 6, 24, 120, 125), True, "pruned-search"),
+        "r4": SearchOutcome(7, (0, 120, 121, 122, 123, 124, 125), True, "pruned-search"),
+        "r5": SearchOutcome(126, (125,), True, "exhaustive"),
+    }
 
 
 def test_intermediate_witnesses_replay(monoids):
@@ -468,19 +482,86 @@ def test_search_engine_on_degenerate_tables(degenerate_tables):
         assert report.ranks == subset_flags(table).ranks()
 
 
+def conjugations_by_definition(table):
+    """{x -> g*x*h : g*h = h*g = e}, the maps by which the units conjugate,
+    the identity map included; just the identity map if there is no e."""
+    p, ids = table.product, range(table.size)
+    e = [e for e in ids if all(p[e][x] == x == p[x][e] for x in ids)]
+    pairs = [(g, h) for g in ids for h in ids if e and p[g][h] == p[h][g] == e[0]]
+    return {tuple(ids)} | {tuple(p[p[g][x]][h] for x in ids) for g, h in pairs}
+
+
 def test_independent_set_enumeration_matches_definition(monoids):
     from sgranks.ranks import _independent_sets, _Search
 
+    plain = Budget(seconds=None, max_nodes=10**9)  # a node budget walks the plain tree
     for n in (2, 3):
         table = monoids[n].table
         flags = subset_flags(table)
         found = set()
-        for ids, cl in _independent_sets(_Search(table, None)):
+        for ids, cl in _independent_sets(_Search(table, plain)):
             # the incrementally adjoined closure matches the one from scratch
             assert cl == flags.closures[sum(1 << a for a in ids)]
             found.add(ids)
         expected = {ids_of(mask) for mask, ind in enumerate(flags.independent) if ind}
         assert found == expected
+        # with no budget the walk keeps one set per orbit of the conjugations,
+        # the lex-min one
+        perms = conjugations_by_definition(table)
+        reps = {ids for ids in expected if all(tuple(sorted(p[a] for a in ids)) >= ids for p in perms)}
+        assert len(reps) < len(expected)
+        reduced = {ids for ids, _ in _independent_sets(_Search(table, None))}
+        assert reduced == reps
+
+
+def test_conjugations_are_distinct_automorphisms(monoids):
+    from sgranks.ranks import _Search
+
+    aut_tables = [(monoids[n].table, math.factorial(n) - 1) for n in (2, 3, 4)]
+    aut_tables += [(monoids[4].aut_subtable(), 23), (full_transformation_monoid(3), 5)]
+    none = [monoids[1].table, left_zero_band(3), null_semigroup(3), chain(4)]
+    none += [cyclic_group(6), with_zero(cyclic_group(3)), direct_product(cyclic_group(2), chain(2))]
+    for table, count in aut_tables + [(t, 0) for t in none]:
+        perms = _Search(table, None).conjugations
+        assert len(perms) == len(set(perms)) == count, table.product
+        assert set(perms) == conjugations_by_definition(table) - {tuple(range(table.size))}
+        p = table.product
+        for perm in perms:
+            assert sorted(perm) == list(range(table.size))
+            assert all(
+                perm[p[a][b]] == p[perm[a]][perm[b]]
+                for a in range(table.size) for b in range(table.size)
+            )
+    # a node budget counts the nodes of the plain walk, so it gets none
+    assert _Search(monoids[3].table, Budget(seconds=None, max_nodes=10**9)).conjugations == []
+    assert len(_Search(monoids[3].table, Budget(seconds=10**9)).conjugations) == 5
+
+
+def test_reduced_walk_matches_plain_walk(monoids, b_tables, random_tables, degenerate_tables):
+    # the orbit-pruned walk (no budget) and the plain walk (a node budget that
+    # is never reached) agree in value, witness and exactness, with and
+    # without stop_at
+    from sgranks.ranks import _Search, _walk
+
+    plain = Budget(seconds=None, max_nodes=10**9)
+    tables = [m.table for m in monoids.values()] + list(b_tables.values())
+    tables += [monoids[4].aut_subtable(), full_transformation_monoid(3)]
+    tables += [direct_product(cyclic_group(k), chain(m)) for k, m in ((2, 2), (3, 2), (4, 3))]
+    tables += random_tables + degenerate_tables
+    rng = random.Random(11)
+    for table in list(tables):
+        perm = list(range(table.size))
+        rng.shuffle(perm)
+        tables.append(relabel(table, perm))
+    # the plain walk of I_3 takes over a second, so it is walked once only
+    tables.append(symmetric_inverse_monoid(3))
+    for table in tables:
+        whole = _walk(_Search(table, None))
+        assert whole == _walk(_Search(table, plain)), table.product
+        assert whole[0].exact
+        for stop_at in range(1, whole[0].value + 2) if table.size <= 30 else ():
+            got = _walk(_Search(table, None), stop_at)
+            assert got == _walk(_Search(table, plain), stop_at), (table.product, stop_at)
 
 
 def test_chain_holds_on_every_report(monoids, b_tables, random_tables):

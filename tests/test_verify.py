@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from sgranks import verify
+from sgranks.endo import enumerate_endomorphisms_structural
 from sgranks.ranks import Budget
 
 
@@ -63,4 +66,16 @@ def test_small_rank_check_detail(monoids, n):
     )
     assert verify._check_small_rank(monoids[n]) == verify.CheckResult(
         "small-rank", verify.PASS, detail
+    )
+
+
+def test_symmetric_group_ranks_check_at_n5_and_n6():
+    m = enumerate_endomorphisms_structural(5)
+    assert verify._check_symmetric_group_ranks(m, None) == verify.CheckResult(
+        "symmetric-group-ranks", verify.PASS,
+        "automorphism subtable has r3 = 4, r4 = 4, expected 4",
+    )
+    # n = 6 is skipped before any table is read
+    assert verify._check_symmetric_group_ranks(SimpleNamespace(n=6), None) == verify.CheckResult(
+        "symmetric-group-ranks", verify.SKIPPED, "subset search capped at n <= 5, got n=6"
     )
