@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import itertools
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
 
 from sgranks import verify
-from sgranks.endo import enumerate_endomorphisms_structural
+from sgranks.endo import AUTOMORPHISM, NONZERO_CONSTANT, enumerate_endomorphisms_structural
 from sgranks.ranks import Budget
 
 
@@ -79,3 +83,62 @@ def test_symmetric_group_ranks_check_at_n5_and_n6():
     assert verify._check_symmetric_group_ranks(SimpleNamespace(n=6), None) == verify.CheckResult(
         "symmetric-group-ranks", verify.SKIPPED, "subset search capped at n <= 5, got n=6"
     )
+
+
+def product_statuses(m):
+    checks = (verify._check_aut_products, verify._check_zero_products, verify._check_nonzero_constant_products)
+    return {r.name: r.status for r in (check(m) for check in checks)}
+
+
+def planted(m, x, a, value):
+    """A copy of m whose table has the one product x*a set to value."""
+    rows = [list(row) for row in m.table.product]
+    rows[x][a] = value
+    faulty = copy.copy(m)
+    faulty.table = dataclasses.replace(m.table, product=tuple(map(tuple, rows)))
+    return faulty
+
+
+def brute_force_statuses(m, longest=4):
+    """Each product law from its definition, on every word of 1..longest letters."""
+    p = m.table.product
+    auts = {a for a, f in enumerate(m.elements) if f.kind == AUTOMORPHISM}
+    consts = {a for a, f in enumerate(m.elements) if f.kind == NONZERO_CONSTANT}
+    z = m.zero_id
+    holds = {"automorphism-products": True, "zero-products": True, "nonzero-constant-products": True}
+    for k in range(1, longest + 1):
+        for word in itertools.product(range(len(m)), repeat=k):
+            prod = reduce(lambda x, a: p[x][a], word)
+            holds["automorphism-products"] &= (prod in auts) == all(a in auts for a in word)
+            holds["zero-products"] &= prod != z or z in word
+            holds["nonzero-constant-products"] &= (prod in consts) == (
+                prod != z and any(a in consts for a in word)
+            )
+    return {name: verify.PASS if ok else verify.FAIL for name, ok in holds.items()}
+
+
+# End(B_3) ids: automorphisms 0..5 (identity 0), constants onto (1,1)..(3,3) 6..8, zero 9.
+# Each fault sets one product x*a to value; expected statuses are those of the
+# automorphism-, zero- and nonzero-constant-products checks, in that order.
+FAULTS = {
+    "aut-times-aut-is-constant": ((1, 2, 6), (verify.FAIL, verify.PASS, verify.FAIL)),
+    "aut-times-constant-is-zero": ((1, 6, 9), (verify.PASS, verify.FAIL, verify.PASS)),
+    "zero-times-aut-is-aut": ((9, 1, 2), (verify.FAIL, verify.PASS, verify.FAIL)),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_product_checks_catch_a_planted_fault(monoids, fault):
+    (x, a, value), expected = FAULTS[fault]
+    assert tuple(product_statuses(planted(monoids[3], x, a, value)).values()) == expected
+
+
+@pytest.mark.parametrize("n, fault", [(1, None), (2, None), (3, None)] + [(3, f) for f in FAULTS])
+def test_product_checks_match_every_short_word(monoids, n, fault):
+    m = monoids[n] if fault is None else planted(monoids[n], *FAULTS[fault][0])
+    assert product_statuses(m) == brute_force_statuses(m)
+
+
+def test_product_checks_pass_on_end_b5():
+    got = product_statuses(enumerate_endomorphisms_structural(5))
+    assert set(got.values()) == {verify.PASS}, got
