@@ -12,6 +12,7 @@ conjecture search finds a refutation (the one newsworthy outcome).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,6 +49,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache  # the parser depends on no input, so main builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sgranks",

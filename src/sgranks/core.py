@@ -120,54 +120,28 @@ def _grow(product, gens: list[int], mask: int, frontier: list[int], full_mask: i
     return mask
 
 
-def _right_chunks(product) -> list[list[list[int]]]:
-    """Right translations s -> s*x as lookup tables over 4-id chunks of a mask.
-
-    right[x][j][b] is the mask of {s*x : s = 4j + i, bit i of b set}, so the
-    products s*x for all s in a mask are the OR over j of
-    right[x][j][mask >> 4j & 15].  A last chunk with fewer than 4 ids is
-    padded with empty masks.
-    """
-    n = len(product)
-    right = []
-    for x in range(n):
-        bits = [1 << row[x] for row in product] + [0, 0, 0]
-        chunks = []
-        for lo in range(0, n, 4):
-            b0, b1, b2, b3 = bits[lo:lo + 4]
-            b01 = b0 | b1
-            b23 = b2 | b3
-            chunks.append([
-                0, b0, b1, b01, b2, b0 | b2, b1 | b2, b01 | b2,
-                b3, b0 | b3, b1 | b3, b01 | b3, b23, b0 | b23, b1 | b23, b01 | b23,
-            ])
-        right.append(chunks)
-    return right
-
-
-def _adjoin(product, right, gens: list[int], mask: int, x: int, full_mask: int) -> int:
-    """<gens + [x]> as a mask, given that mask is <gens> and right is
-    _right_chunks(product).
+def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int) -> int:
+    """<gens + [x]> as a mask, given that mask is <gens>.
 
     mask is closed under right multiplication by gens, so among its members
-    only the products s*x can be new; x and those seed the frontier.  The
-    products come from right[x], one lookup per 4 ids of the table.
+    only the products s*x can be new; x and those seed the frontier.
+    full_mask must hold <gens + [x]>, so the early exit at it fires only once
+    the closure is reached.  The result is thus <mask + {x}>, fixed by
+    (mask, x) alone, whichever generators of mask are given.
     """
     if mask >> x & 1:
         return mask
-    new = 1 << x
-    rest = mask
-    for images in right[x]:
-        new |= images[rest & 15]
-        rest >>= 4
-    new &= ~mask
-    mask |= new
-    frontier = []
-    while new:  # the bits of new, inlined: this is the walk's innermost call
-        low = new & -new
-        frontier.append(low.bit_length() - 1)
-        new ^= low
-    return _grow(product, gens + [x], mask, frontier, full_mask)
+    grown = mask | 1 << x
+    frontier = [x]
+    while mask:  # the bits of mask, inlined: this is the walk's innermost call
+        low = mask & -mask
+        mask ^= low
+        c = product[low.bit_length() - 1][x]
+        bit = 1 << c
+        if not grown & bit:
+            grown |= bit
+            frontier.append(c)
+    return _grow(product, gens + [x], grown, frontier, full_mask)
 
 
 def _closure_mask(mask: int, product, full_mask: int) -> int:

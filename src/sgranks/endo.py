@@ -116,10 +116,11 @@ def phi_of_perm(sigma, n: int) -> Endomorphism:
     """The automorphism (i, j) -> (i sigma, j sigma), fixing the zero."""
     check_perm(sigma, n)
     image = [0] * (n * n + 1)
+    # element_to_id's formula, without its checks: check_perm covered them
     for i in range(1, n + 1):
         si = sigma[i - 1]
         for j in range(1, n + 1):
-            image[element_to_id((i, j), n)] = element_to_id((si, sigma[j - 1]), n)
+            image[1 + (i - 1) * n + (j - 1)] = 1 + (si - 1) * n + (sigma[j - 1] - 1)
     return Endomorphism(n, tuple(image), AUTOMORPHISM, perm=tuple(sigma))
 
 

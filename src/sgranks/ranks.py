@@ -80,18 +80,31 @@ class _Clock:
 
 class _Search:
     """What the searches of one table share: the product, the full mask, the
-    clock (None without a budget), and, each computed on first use and freed
-    with the context, the group of units, its conjugations and the
-    right-translation tables that core._adjoin reads."""
+    clock (None without a budget), the closure memo and, each computed on
+    first use, the group of units and its conjugations; all are freed with
+    the context.
+
+    memo[x][mask] is <mask + {x}> for a closed mask, and every adjoin of r2
+    and the walk goes through adjoin(), so each is computed once per context.
+    This changes no value, witness or tick: every caller passes mask =
+    <gens>, and a target that holds <gens + [x]> (r2's search of the units
+    passes the unit mask and adjoins only units), so core._adjoin returns
+    <mask + {x}>, which depends on (mask, x) alone.
+    """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
         self.product = table.product
         self.full = (1 << table.size) - 1
         self.clock = None if budget is None else budget.clock()
+        self.memo: list[dict[int, int]] = [{} for _ in range(table.size)]
 
-    @cached_property
-    def right(self) -> list[list[list[int]]]:
-        return core._right_chunks(self.product)
+    def adjoin(self, gens: list[int], mask: int, x: int, target: int) -> int:
+        """<gens + [x]>, given mask = <gens> and a target that holds the result."""
+        seen = self.memo[x]
+        cl = seen.get(mask)
+        if cl is None:
+            cl = seen[mask] = core._adjoin(self.product, gens, mask, x, target)
+        return cl
 
     @cached_property
     def units(self) -> int:
@@ -150,12 +163,12 @@ def _independent_sets(s: _Search):
 def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
             whole: int, rev: int, conj: list[int]):
     # module level, not nested in _independent_sets: a nested recursive
-    # function is a reference cycle, which would keep the tables alive past
+    # function is a reference cycle, which would keep the memo alive past
     # the walk until the cyclic collector ran.  rev is u as a mask with id 0
     # the highest bit, conj its images under the conjugations and images[x]
     # the bits of the images of x.
     yield tuple(u), whole
-    product, right, clock, full = s.product, s.right, s.clock, s.full
+    product, clock, full = s.product, s.clock, s.full
     last = len(product) - 1
     for x in range(u[-1] + 1 if u else 0, len(product)):
         if clock is not None:
@@ -167,7 +180,7 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
         if max(moved, default=0) <= grown:  # no image of u + [x] is lex-smaller
             ext = []
             for i, a in enumerate(u):
-                cl = core._adjoin(product, right, u[:i] + u[i + 1:], minus[i], x, full)
+                cl = s.adjoin(u[:i] + u[i + 1:], minus[i], x, full)
                 if cl >> a & 1:
                     break
                 ext.append(cl)
@@ -175,7 +188,7 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
                 ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
                 yield from _branch(
                     s, images, u + [x], ext,
-                    core._adjoin(product, right, u, whole, x, full), grown, moved,
+                    s.adjoin(u, whole, x, full), grown, moved,
                 )
 
 
@@ -251,7 +264,7 @@ def _first_generating(s: _Search, need: int, u: list[int], cl: int,
     for x in range(lo, hi - need + 1):
         got = _first_generating(
             s, need - 1, u + [x],
-            core._adjoin(s.product, s.right, u, cl, x, target), x + 1, hi, target,
+            s.adjoin(u, cl, x, target), x + 1, hi, target,
         )
         if got is not None:
             return got

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgranks
 from sgranks import cli
 from sgranks.brandt import build_brandt
 from sgranks.core import format_table_text, parse_table_text
@@ -34,6 +39,30 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["ranks"])  # neither --n nor --table
     assert exc.value.code == 1
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, monkeypatch):
+    # main builds its parser once per process; a usage error in between must
+    # not change what the commands around it print or return
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(sgranks.__file__).parents[1])}
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    runs = ((["ranks", "--n", "2"], 0), (["ranks", "--n", "0"], 1), (["verify", "--n", "2"], 0))
+    for argv, expected in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from sgranks.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert (code, captured.out, captured.err) == (
+            alone.returncode, alone.stdout, alone.stderr
+        ), argv
+        assert code == expected, argv
 
 
 @pytest.mark.parametrize("command", ["ranks", "verify", "conjecture"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sgranks.core import (
     SemigroupTable,
-    _right_chunks,
+    _adjoin,
     closure,
     format_table_text,
     idempotents,
@@ -194,23 +194,17 @@ def test_independence_hereditary_exhaustively_on_pool():
                 assert all(flags[bits ^ (1 << a)] for a in subset)
 
 
-def test_right_chunks_give_right_products(monoids):
-    # sizes 1, 2, 3, 5, 6 and 29 are not multiples of the 4-id chunk, so their
-    # last chunk is a short one
+def test_adjoin_gives_the_closure_with_x(monoids):
+    # on tables of 1 to 29 elements, adjoining any x to <gens> must give the
+    # closure of gens + [x] computed from scratch
     tables = [cyclic_group(size) for size in (1, 2, 3, 5, 6, 24)] + [monoids[4].table]
     rng = random.Random(20261018)
     for table in tables:
         n = table.size
-        right = _right_chunks(table.product)
-        masks = [0, (1 << n) - 1] + [1 << a for a in range(n)]
-        masks += [rng.getrandbits(n) for _ in range(50)]
-        for x in range(n):
-            for mask in masks:
-                image = 0
-                for j, images in enumerate(right[x]):
-                    image |= images[mask >> 4 * j & 15]
-                expected = 0
-                for s in range(n):
-                    if mask >> s & 1:
-                        expected |= 1 << table.product[s][x]
-                assert image == expected, (n, x, mask)
+        full = (1 << n) - 1
+        gen_sets = [[]] + [rng.sample(range(n), rng.randint(1, min(n, 3))) for _ in range(12)]
+        for gens in gen_sets:
+            mask = sum(1 << a for a in closure(gens, table))
+            for x in range(n):
+                expected = sum(1 << a for a in closure(gens + [x], table))
+                assert _adjoin(table.product, gens, mask, x, full) == expected, (n, gens, x)

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 
@@ -46,6 +47,21 @@ def test_phi_of_perm_maps_pairs_componentwise():
     assert phi3.image[element_to_id((3, 1), 3)] == element_to_id((1, 2), 3)
     with pytest.raises(ValueError):
         phi_of_perm((1, 1), 2)
+
+
+def test_phi_of_perm_matches_element_to_id_for_every_permutation():
+    for n in range(1, 5):
+        for sigma in permutations(range(1, n + 1)):
+            image = [0] * (n * n + 1)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    image[element_to_id((i, j), n)] = element_to_id(
+                        (sigma[i - 1], sigma[j - 1]), n
+                    )
+            assert phi_of_perm(sigma, n).image == tuple(image), sigma
+    for sigma, n in (((1, 1), 2), ((0, 1), 2), ((1, 2, 4), 3), ((1, 2), 3), ((2, 3, 1), 2)):
+        with pytest.raises(ValueError):
+            phi_of_perm(sigma, n)
 
 
 def test_constant_maps():

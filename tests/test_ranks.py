@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from sgranks import core
+from sgranks import core, ranks
 from sgranks.core import (
     ResourceLimitError,
     is_generating,
@@ -331,20 +331,21 @@ def test_end_b5_walks_cut_at_1000_nodes():
 
 
 def test_search_tables_are_released(monkeypatch, monoids):
-    # the right-translation tables of a search must be freed when it returns,
-    # cut or not, and not be left in a reference cycle for the cyclic collector;
-    # a report builds them once for r2 and the walk together
-    class Tables(list):  # a plain list cannot be weakly referenced
+    # the closure memo of a search must be freed when it returns, cut or not,
+    # and not be left in a reference cycle for the cyclic collector; a report
+    # builds one for r2 and the walk together
+    class Memo(list):  # a plain list cannot be weakly referenced
         pass
 
     built = []
+    init = ranks._Search.__init__
 
-    def tracked(product, build=core._right_chunks):
-        tables = Tables(build(product))
-        built.append(weakref.ref(tables))
-        return tables
+    def tracked(self, *args):
+        init(self, *args)
+        self.memo = Memo(self.memo)
+        built.append(weakref.ref(self.memo))
 
-    monkeypatch.setattr(core, "_right_chunks", tracked)
+    monkeypatch.setattr(ranks._Search, "__init__", tracked)
     table = monoids[4].table
     gc.collect()
     gc.disable()
@@ -361,6 +362,38 @@ def test_search_tables_are_released(monkeypatch, monoids):
         assert all(ref() is None for ref in built)
     finally:
         gc.enable()
+
+
+def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
+    # every entry a report leaves in its memo maps a closed mask and an x to
+    # the closure of mask + {x} computed from scratch; the tables with units
+    # first (End(B_n) and a relabelled C_3 x chain(2)) cover r2's search of the
+    # units, whose closures stop growing at the unit mask
+    contexts = []
+    init = ranks._Search.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        contexts.append(self)
+
+    monkeypatch.setattr(ranks._Search, "__init__", tracked)
+    grid = direct_product(cyclic_group(3), chain(2))
+    units = ids_of(_unit_mask(grid.product))
+    order = list(units) + [a for a in range(grid.size) if a not in units]
+    first = relabel(grid, [order.index(a) for a in range(grid.size)])
+    assert units_first(first)
+    tables = [m.table for m in monoids.values()] + random_tables + [grid, first]
+    for table in tables:
+        contexts.clear()
+        rank_report(table)
+        (s,) = contexts
+        assert any(s.memo), table.product
+        for x, seen in enumerate(s.memo):
+            for mask, cl in seen.items():
+                assert core._closure_mask(mask, table.product, s.full) == mask
+                assert cl == core._closure_mask(mask | 1 << x, table.product, s.full), (
+                    table.product, mask, x,
+                )
 
 
 def test_rank_report_which_filter(monoids):
