@@ -39,6 +39,10 @@ RANK_KEYS = ("r1", "r2", "r3", "r4", "r5")
 
 DEFAULT_BUDGET_SECONDS = 60.0
 
+# the most entries a closure memo holds: r2 on a left-zero band of 24 meets 2^24
+# distinct (mask, x) pairs, End(B_6)'s whole report only 105,445
+_MEMO_ENTRIES = 1 << 17
+
 
 class _Exhausted(Exception):
     """Internal: a search ran out of budget; callers return flagged bounds."""
@@ -79,17 +83,16 @@ class _Clock:
 
 
 class _Search:
-    """What the searches of one table share: the product, the full mask, the
-    clock (None without a budget), the closure memo and, each computed on
-    first use, the group of units and its conjugations; all are freed with
-    the context.
+    """What the searches of one table share, all freed with it: the product,
+    the full mask, the clock (None without a budget), the closure memo and,
+    each computed on first use, the group of units and its conjugations.
 
-    memo[x][mask] is <mask + {x}> for a closed mask, and every adjoin of r2
-    and the walk goes through adjoin(), so each is computed once per context.
-    This changes no value, witness or tick: every caller passes mask =
-    <gens>, and a target that holds <gens + [x]> (r2's search of the units
-    passes the unit mask and adjoins only units), so core._adjoin returns
-    <mask + {x}>, which depends on (mask, x) alone.
+    memo[x][mask] is <mask + {x}> for a closed mask; every adjoin of r2 and
+    the walk goes through adjoin(), and the memo is emptied when it would
+    pass _MEMO_ENTRIES entries.  It changes no value, witness or tick: each
+    caller passes mask = <gens> and a target holding <gens + [x]> (r2's
+    search of the units passes the unit mask and adjoins only units), so
+    core._adjoin returns <mask + {x}>, fixed by (mask, x) alone.
     """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
@@ -97,12 +100,18 @@ class _Search:
         self.full = (1 << table.size) - 1
         self.clock = None if budget is None else budget.clock()
         self.memo: list[dict[int, int]] = [{} for _ in range(table.size)]
+        self.room = _MEMO_ENTRIES  # entries the memo may still take
 
     def adjoin(self, gens: list[int], mask: int, x: int, target: int) -> int:
         """<gens + [x]>, given mask = <gens> and a target that holds the result."""
         seen = self.memo[x]
         cl = seen.get(mask)
         if cl is None:
+            if not self.room:
+                for kept in self.memo:
+                    kept.clear()
+                self.room = _MEMO_ENTRIES
+            self.room -= 1
             cl = seen[mask] = core._adjoin(self.product, gens, mask, x, target)
         return cl
 

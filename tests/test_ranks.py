@@ -396,6 +396,35 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
                 )
 
 
+def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
+    # a search that keeps meeting new (mask, x) pairs, as r2 and the walk do on
+    # a left-zero band, never holds more than _MEMO_ENTRIES entries, and
+    # emptying the memo changes no value, witness or method
+    tables = [left_zero_band(10), monoids[3].table, monoids[4].table] + random_tables[:10]
+    unbounded = [rank_report(table).to_dict() for table in tables]
+    cap = 40
+    monkeypatch.setattr(ranks, "_MEMO_ENTRIES", cap)
+    held = []
+    adjoin = ranks._Search.adjoin
+
+    def watched(self, *args):
+        got = adjoin(self, *args)
+        held.append(sum(map(len, self.memo)))
+        assert held[-1] == cap - self.room
+        return got
+
+    monkeypatch.setattr(ranks._Search, "adjoin", watched)
+    for table, whole in zip(tables, unbounded):
+        held.clear()
+        assert rank_report(table).to_dict() == whole, table.product
+        assert max(held) <= cap
+    held.clear()
+    rank_report(left_zero_band(10))
+    # 2^10 - 1 distinct pairs fill the memo and empty it many times
+    assert max(held) == cap
+    assert sum(b < a for a, b in zip(held, held[1:])) > 10
+
+
 def test_rank_report_which_filter(monoids):
     report = rank_report(monoids[2].table, which=["r1", "r5"], n=2)
     assert set(report.ranks) == {"r1", "r5"}
