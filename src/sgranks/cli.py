@@ -141,9 +141,7 @@ def cmd_endo(args) -> int:
         return EXIT_OK
     _emit(core.format_table_text(monoid.table), args.out)
     if args.out:
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            json.dump(monoid.sidecar(), fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out + ".json")
     _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
     return EXIT_OK
 

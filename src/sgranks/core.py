@@ -8,6 +8,7 @@ hot paths work on Python int bitmasks internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -67,17 +68,25 @@ class ValidationReport:
 
 
 def validate(table: SemigroupTable) -> ValidationReport:
-    """Check (a*b)*c == a*(b*c) for every triple, reporting the first failure."""
+    """Check (a*b)*c == a*(b*c) for every triple, reporting the first failure.
+
+    Compares whole rows over c: row a*b of the table against a's row read
+    through b's row.  Only a row that differs is scanned for its first c.
+    """
     p = table.product
     n = table.size
+    if n == 1:  # [[0]] is the only such table; itemgetter would return a scalar
+        return ValidationReport(True)
+    # after[b](pa) is the row of a*(b*c) over c
+    after = [itemgetter(*row) for row in p]
     for a in range(n):
         pa = p[a]
         for b in range(n):
             p_ab = p[pa[b]]
-            pb = p[b]
-            for c in range(n):
-                if p_ab[c] != pa[pb[c]]:
-                    return ValidationReport(False, (a, b, c))
+            if p_ab != after[b](pa):
+                pb = p[b]
+                c = next(c for c in range(n) if p_ab[c] != pa[pb[c]])
+                return ValidationReport(False, (a, b, c))
     return ValidationReport(True)
 
 

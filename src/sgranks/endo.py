@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from operator import itemgetter
 
 from .brandt import THETA, build_brandt, element_to_id, id_to_element
 from .core import ResourceLimitError, SemigroupTable, restrict
@@ -217,6 +216,12 @@ class EndoMonoid:
 
     Element ids: the n! automorphisms sorted by permutation image (identity
     first), then the constants onto (1,1)..(n,n), then the zero constant last.
+
+    The table is composed from the image vectors, by the definition of fg,
+    not from a formula on permutations, so verify's automorphism-composition
+    check stays independent of it.  Each image is held as bytes and used as a
+    translation table, so image ids must fit in a byte: n <= 15.  Raises
+    ValueError if a composite is not among the elements.
     """
 
     def __init__(self, n: int, elements):
@@ -225,12 +230,24 @@ class EndoMonoid:
         self._index = {f.image: k for k, f in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate endomorphisms")
-        images = [f.image for f in self.elements]
+        try:
+            keys = [bytes(f.image) for f in self.elements]
+        except ValueError:
+            raise ValueError(
+                f"image ids of B_{n} do not fit in a byte: the table is built for n <= 15 only"
+            ) from None
+        index = {key: k for k, key in enumerate(keys)}
+        # g's image as a translation table: key_f.translate(tables[g]) is the image of fg
+        tables = [key.ljust(256, b"\0") for key in keys]
         rows = []
-        for f in self.elements:
-            # maps g.image to the image of fg, as a tuple: images have >= 2 entries
-            fg = itemgetter(*f.image)
-            rows.append([self._index[fg(image)] for image in images])
+        for f, key in zip(self.elements, keys):
+            try:
+                rows.append(list(map(index.__getitem__, map(key.translate, tables))))
+            except KeyError:
+                g = next(g for g, t in zip(self.elements, tables) if key.translate(t) not in index)
+                raise ValueError(
+                    f"the composite {f.label} then {g.label} is not among the elements"
+                ) from None
         self.table = SemigroupTable.from_rows(rows, [f.label for f in self.elements])
 
     def __len__(self) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -52,6 +53,32 @@ def test_validate_accepts_associative_tables():
     assert validate(LEFT_ZERO_2).ok
     for table in POOL:
         assert validate(table).ok
+
+
+def _first_violation(table):
+    """validate's contract by brute force: the lex-first triple that does not associate."""
+    p = table.product
+    for a, b, c in itertools.product(range(table.size), repeat=3):
+        if p[p[a][b]][c] != p[a][p[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def _assert_validate_matches_brute_force(table):
+    expected = _first_violation(table)
+    report = validate(table)
+    assert (report.ok, report.violation) == (expected is None, expected)
+
+
+def test_validate_matches_brute_force_on_small_cases():
+    # the 1-element table, where a row of one entry must still compare as a row
+    _assert_validate_matches_brute_force(SemigroupTable.from_rows([[0]]))
+    # left-zero band with 1*2 changed to 2: (1*0)*2 = 2 but 1*(0*2) = 1, so
+    # the first violation is (1, 0, 2), past the first row and at c > 0
+    table = SemigroupTable.from_rows([[0, 0, 0], [1, 1, 2], [2, 2, 2]])
+    assert validate(table).violation == (1, 0, 2)
+    for table in (table, NOT_ASSOC, LEFT_ZERO_2):
+        _assert_validate_matches_brute_force(table)
 
 
 def test_closure_of_empty_set_is_empty():
@@ -181,6 +208,18 @@ def test_closure_monotone(idx, data):
     u = frozenset(a for a in range(table.size) if small >> a & 1)
     v = u | frozenset(a for a in range(table.size) if extra >> a & 1)
     assert closure(u, table) <= closure(v, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pool_index, st.data())
+def test_validate_matches_brute_force_with_one_entry_changed(idx, data):
+    table = POOL[idx]
+    n = table.size
+    entry = st.integers(min_value=0, max_value=n - 1)
+    a, b, v = data.draw(entry), data.draw(entry), data.draw(entry)
+    rows = [list(row) for row in table.product]
+    rows[a][b] = v
+    _assert_validate_matches_brute_force(SemigroupTable.from_rows(rows))
 
 
 def test_independence_hereditary_exhaustively_on_pool():

@@ -213,8 +213,30 @@ def test_oracle_matches_structural(monoids):
 
 
 def test_monoid_from_oracle_elements_matches(monoids):
-    m = EndoMonoid(2, enumerate_endomorphisms_oracle(2))
-    assert m.table == monoids[2].table
+    for n in (1, 2, 3):
+        m = EndoMonoid(n, enumerate_endomorphisms_oracle(n))
+        assert m.table == monoids[n].table
+
+
+def test_monoid_table_matches_compose(monoids):
+    for m in monoids.values():
+        p = m.table.product
+        for a, f in enumerate(m.elements):
+            for b, g in enumerate(m.elements):
+                assert p[a][b] == m.index_of(compose(f, g)), (m.n, a, b)
+
+
+def test_monoid_rejects_elements_not_closed_under_composition():
+    elements = [phi_of_perm((1, 2), 2), phi_of_perm((2, 1), 2), constant_map((1, 1), 2)]
+    # xi_(1,1) then phi_(1,2) is the constant onto (2,2), which is missing
+    with pytest.raises(ValueError, match=r"xi_\(1,1\) then phi_\(1,2\)"):
+        EndoMonoid(2, elements)
+
+
+def test_monoid_rejects_image_ids_past_a_byte():
+    # B_16 has 257 elements, so the id 256 of (16,16) does not fit in a byte
+    with pytest.raises(ValueError, match="n <= 15"):
+        EndoMonoid(16, [phi_of_perm(perm_identity(16), 16)])
 
 
 def test_sidecar_shape(monoids):
