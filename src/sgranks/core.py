@@ -20,9 +20,9 @@ class ResourceLimitError(RuntimeError):
 class SemigroupTable:
     """An N x N multiplication table over element ids 0..N-1.
 
-    Construction checks shape and entry range only; associativity is *not*
-    checked here, so run validate() on untrusted input.  Instances are
-    immutable and safe to share between searches.
+    Construction checks shape, integer entries and entry range only;
+    associativity is *not* checked here, so run validate() on untrusted
+    input.  Instances are immutable and safe to share between searches.
     """
 
     product: tuple[tuple[int, ...], ...]
@@ -35,6 +35,16 @@ class SemigroupTable:
         for row in self.product:
             if len(row) != n:
                 raise ValueError("product table must be square")
+            # a row of ints (bools included) sums to an int; only a row that
+            # does not is scanned for its first non-integer entry
+            try:
+                integral = type(sum(row)) is int
+            except TypeError:
+                integral = False
+            if not integral:
+                for v in row:
+                    if not isinstance(v, int):
+                        raise ValueError(f"table entry {v!r} is not an integer")
             for v in row:
                 if not 0 <= v < n:
                     raise ValueError(f"table entry {v} out of range [0, {n})")
@@ -245,11 +255,21 @@ def restrict(table: SemigroupTable, subset: Iterable[int]) -> SemigroupTable:
     return SemigroupTable.from_rows(rows, labels)
 
 
+def _pick(keys, table) -> tuple:
+    """The tuple of table[k] for k in keys, looked up in one C-level call.
+
+    Raises KeyError or IndexError for a key that table lacks.
+    """
+    if len(keys) == 1:  # itemgetter of a single key returns the item, not a 1-tuple
+        return (table[keys[0]],)
+    return itemgetter(*keys)(table)
+
+
 def format_table_text(table: SemigroupTable) -> str:
     """Render the line-oriented text format: size line, N row lines, optional label line."""
+    names = tuple(map(str, range(table.size)))
     lines = [str(table.size)]
-    for row in table.product:
-        lines.append(" ".join(map(str, row)))
+    lines += [" ".join(_pick(row, names)) for row in table.product]
     if table.labels is not None:
         for lab in table.labels:
             # labels share a whitespace-separated line, so they cannot contain whitespace
@@ -274,15 +294,23 @@ def parse_table_text(text: str) -> SemigroupTable:
         raise ValueError(f"element count must be positive, got {n}")
     if len(lines) < n + 1:
         raise ValueError(f"expected {n} table rows, found {len(lines) - 1}")
+    # built only now, so that a header claiming more rows than the text holds
+    # cannot make it allocate
+    ids = {str(a): a for a in range(n)}
     rows = []
     for i in range(1, n + 1):
         parts = lines[i].split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
         try:
-            rows.append([int(tok) for tok in parts])
-        except ValueError:
-            raise ValueError(f"row {i} contains a non-integer entry") from None
+            rows.append(_pick(parts, ids))
+        except KeyError:
+            # a token spelt other than format_table_text writes it ("00", "+1")
+            # or out of range: int() gives the same values and errors as always
+            try:
+                rows.append(tuple(map(int, parts)))
+            except ValueError:
+                raise ValueError(f"row {i} contains a non-integer entry") from None
     labels = None
     if len(lines) > n + 1:
         if len(lines) > n + 2:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .brandt import THETA, build_brandt, element_to_id, id_to_element
-from .core import ResourceLimitError, SemigroupTable, restrict
+from .core import ResourceLimitError, SemigroupTable, _pick, restrict
 
 AUTOMORPHISM = "automorphism"
 ZERO_CONSTANT = "zero_constant"
@@ -242,7 +242,7 @@ class EndoMonoid:
         rows = []
         for f, key in zip(self.elements, keys):
             try:
-                rows.append(list(map(index.__getitem__, map(key.translate, tables))))
+                rows.append(_pick(list(map(key.translate, tables)), index))
             except KeyError:
                 g = next(g for g, t in zip(self.elements, tables) if key.translate(t) not in index)
                 raise ValueError(
@@ -289,13 +289,14 @@ class EndoMonoid:
 
     def sidecar(self) -> dict:
         """JSON-ready description of every element."""
+        labels = self.table.labels
         return {
             "n": self.n,
             "size": len(self.elements),
             "elements": [
                 {
                     "id": k,
-                    "label": f.label,
+                    "label": labels[k],
                     "kind": f.kind,
                     "image": list(f.image),
                     "perm": None if f.perm is None else list(f.perm),

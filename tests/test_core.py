@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from sgranks.core import (
     restrict,
     validate,
 )
+from sgranks.endo import enumerate_endomorphisms_structural
 from sgranks.reference import subset_flags
 
-from _tablegen import cyclic_group, random_semigroup_pool
+from _tablegen import cyclic_group, random_semigroup_pool, special_tables
 
 POOL = random_semigroup_pool()
 
@@ -163,6 +165,77 @@ def test_text_format_parse_errors():
                 "2\n0 0\n0 1\na b\nextra\n", "2\n0 q\n0 1\n"]:
         with pytest.raises(ValueError):
             parse_table_text(bad)
+
+
+def _old_format_rows(table):
+    """The row lines as the text format has always rendered them."""
+    return [" ".join(map(str, row)) for row in table.product]
+
+
+def test_text_format_rows_render_as_before():
+    tables = POOL + special_tables() + [
+        enumerate_endomorphisms_structural(n).table for n in range(1, 6)
+    ]
+    for table in tables:
+        text = format_table_text(table)
+        lines = text.splitlines()
+        assert lines[0] == str(table.size)
+        assert lines[1 : table.size + 1] == _old_format_rows(table)
+        assert parse_table_text(text) == table
+
+
+def test_text_format_respelled_tokens_parse_alike():
+    canonical = parse_table_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    for text in [
+        "3\n00 1 2\n1 2 0\n2 0 1\n",
+        "3\n0 +1 2\n1 2 0\n2 0 1\n",
+        "3\n0 01 2\n1 2 0\n2 0 1\n",
+        "3\n 00  +1 02\n1 2\t0\n002 -0 01\n",
+    ]:
+        parsed = parse_table_text(text)
+        assert parsed == canonical
+        assert all(type(v) is int for row in parsed.product for v in row)
+    assert parse_table_text("1\n000\n") == SemigroupTable.from_rows([[0]])
+
+
+def test_text_format_error_messages():
+    with pytest.raises(ValueError, match=r"^table entry -1 out of range \[0, 2\)$"):
+        parse_table_text("2\n0 0\n-1 1\n")
+    with pytest.raises(ValueError, match=r"^table entry 2 out of range \[0, 2\)$"):
+        parse_table_text("2\n0 0\n0 2\n")
+    for bad in ["x", "1.0", "0x1", "1e0"]:
+        with pytest.raises(ValueError, match="^row 1 contains a non-integer entry$"):
+            parse_table_text(f"2\n0 {bad}\n0 1\n")
+    # a non-integer row is reported before an out-of-range entry in a later row
+    with pytest.raises(ValueError, match="^row 1 contains a non-integer entry$"):
+        parse_table_text("2\n0 q\n0 5\n")
+
+
+def test_text_format_row_count_is_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^expected 1000000000 table rows, found 1$"):
+            parse_table_text("1000000000\n0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_table_construction_rejects_non_integer_entries():
+    for rows in ([[0.5]], [[0, 1.0], [1, 0]], [[0, 1], [1, 0.0]], [[0, "1"], [1, 0]]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            SemigroupTable.from_rows(rows)
+    with pytest.raises(ValueError, match=r"^table entry 1\.0 is not an integer$"):
+        SemigroupTable(((0, 1.0), (1, 0)))
+    with pytest.raises(ValueError, match=r"^table entry 0\.5 is not an integer$"):
+        SemigroupTable(((0.5,),))
+
+
+def test_table_construction_accepts_bools_as_ids():
+    t = SemigroupTable.from_rows([[False, True], [True, False]])
+    assert t == SemigroupTable.from_rows([[0, 1], [1, 0]])
+    assert format_table_text(t) == "2\n0 1\n1 0\n"
 
 
 def test_labels_with_whitespace_rejected_on_write():

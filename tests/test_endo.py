@@ -246,3 +246,14 @@ def test_sidecar_shape(monoids):
     first = side["elements"][0]
     assert first["label"] == "phi_id" and first["perm"] == [1, 2]
     assert side["elements"][4]["kind"] == "zero_constant"
+
+
+def test_sidecar_labels_are_the_element_labels(monoids):
+    for monoid in monoids.values():
+        labels = [e["label"] for e in monoid.sidecar()["elements"]]
+        assert labels == [f.label for f in monoid.elements] == list(monoid.table.labels)
+
+
+def test_one_element_monoid_table():
+    monoid = EndoMonoid(2, [constant_map(THETA, 2)])
+    assert monoid.table.product == ((0,),) and monoid.table.labels == ("xi_theta",)
