@@ -137,11 +137,10 @@ def cmd_endo(args) -> int:
         monoid = enumerate_endomorphisms_structural(args.n)
     if args.json:
         _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out)
-        _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
-        return EXIT_OK
-    _emit(core.format_table_text(monoid.table), args.out)
-    if args.out:
-        _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out + ".json")
+    else:
+        _emit(core.format_table_text(monoid.table), args.out)
+        if args.out:
+            _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out + ".json")
     _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
     return EXIT_OK
 
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, OSError) as exc:  # an unwritable --out among them
         print(f"sgranks {args.command}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -227,16 +227,15 @@ class EndoMonoid:
     def __init__(self, n: int, elements):
         self.n = n
         self.elements = tuple(elements)
-        self._index = {f.image: k for k, f in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate endomorphisms")
         try:
             keys = [bytes(f.image) for f in self.elements]
         except ValueError:
             raise ValueError(
                 f"image ids of B_{n} do not fit in a byte: the table is built for n <= 15 only"
             ) from None
-        index = {key: k for k, key in enumerate(keys)}
+        self._index = index = {key: k for k, key in enumerate(keys)}
+        if len(index) != len(keys):
+            raise ValueError("duplicate endomorphisms")
         # g's image as a translation table: key_f.translate(tables[g]) is the image of fg
         tables = [key.ljust(256, b"\0") for key in keys]
         rows = []
@@ -255,8 +254,8 @@ class EndoMonoid:
 
     def index_of(self, f: Endomorphism) -> int:
         try:
-            return self._index[f.image]
-        except KeyError:
+            return self._index[bytes(f.image)]
+        except (KeyError, ValueError):  # ValueError: an id that does not fit in a byte
             raise ValueError("endomorphism does not belong to this monoid") from None
 
     def perm_id(self, sigma) -> int:

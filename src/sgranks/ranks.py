@@ -18,10 +18,10 @@ Searches enumerate candidate subsets in lexicographic order over ascending id
 tuples, so every reported witness is deterministic: the first optimum in that
 order.  The one exception is the r5 prime-subset certificate, whose tie-break
 scans largest ids first (see smallest_prime_subset).  The r2 search splits
-into a search for the group of units and one for the rest (see lower_rank),
-with the same result as one search over all ids.  The r3/r4 walk skips every
-subset that is not lex-min in its orbit under the conjugations by units, with
-the same result as the plain walk (see _independent_sets).
+at the group of units, wherever its ids lie (see lower_rank), with the same
+result as one search over all ids.  The r3/r4 walk skips every subset that is
+not lex-min in its orbit under the conjugations by units, with the same
+result as the plain walk (see _independent_sets).
 """
 
 from __future__ import annotations
@@ -260,9 +260,9 @@ def intermediate_rank(table: SemigroupTable, budget: Budget | None = None) -> Se
 
 
 def _first_generating(s: _Search, need: int, u: list[int], cl: int,
-                      lo: int, hi: int, target: int):
-    """Lex-first way to extend the prefix u (closure cl) by need ids from
-    lo..hi-1 so that the closure becomes target, as a tuple; None if none does.
+                      ids: list[int], i: int, target: int):
+    """Lex-first way to extend the prefix u (closure cl) by need of the ascending
+    ids[i:] so that the closure becomes target, as a tuple; None if none does.
 
     Closures are adjoined incrementally down the prefix tree.  target bounds
     every closure reached here, so _adjoin may stop growing once it is hit.
@@ -270,10 +270,11 @@ def _first_generating(s: _Search, need: int, u: list[int], cl: int,
     """
     if need == 0:
         return tuple(u) if cl == target else None
-    for x in range(lo, hi - need + 1):
+    for j in range(i, len(ids) - need + 1):
+        x = ids[j]
         got = _first_generating(
             s, need - 1, u + [x],
-            s.adjoin(u, cl, x, target), x + 1, hi, target,
+            s.adjoin(u, cl, x, target), ids, j + 1, target,
         )
         if got is not None:
             return got
@@ -294,23 +295,21 @@ def _unit_mask(product) -> int:
 
 
 def _smallest_generating(s: _Search, u: list[int], cl: int,
-                         lo: int, hi: int, target: int) -> tuple[int, ...]:
-    """The smallest lex-first extension of u by ids in lo..hi-1 that reaches target."""
-    for need in range(hi - lo + 1):
-        got = _first_generating(s, need, u, cl, lo, hi, target)
+                         ids: list[int], target: int) -> tuple[int, ...]:
+    """The smallest lex-first extension of u by the ascending ids that reaches target."""
+    for need in range(len(ids) + 1):
+        got = _first_generating(s, need, u, cl, ids, 0, target)
         if got is not None:
             return got
-    raise AssertionError("the search window does not reach its target")
+    raise AssertionError("the search ids do not reach their target")
 
 
 def _lower_rank(s: _Search) -> SearchOutcome:
     """r2 on a search context; see lower_rank."""
     units = s.units
-    g = units.bit_length()
-    if units != (1 << g) - 1:
-        units = g = 0  # a unit after a non-unit: split at the empty prefix
-    prefix = _smallest_generating(s, [], 0, 0, g, units)
-    witness = _smallest_generating(s, list(prefix), units, g, len(s.product), s.full)
+    prefix = _smallest_generating(s, [], 0, list(core._iter_bits(units)), units)
+    rest = list(core._iter_bits(s.full ^ units))
+    witness = tuple(sorted(_smallest_generating(s, list(prefix), units, rest, s.full)))
     return SearchOutcome(len(witness), witness)
 
 
@@ -320,17 +319,18 @@ def lower_rank(table: SemigroupTable) -> SearchOutcome:
     Sizes are tried in ascending order, so the returned size k also certifies
     that no generating subset of size k - 1 exists.
 
-    The search splits at the group of units G, when G is the ids 0..g-1, as in
-    End(B_n): r2 = rank(G) + relrank(S : G) (Howie, Ruškuc and Higgins, 1998).
-    In a finite monoid ab = u, a unit, gives a(bu^-1) = e, and a
-    right-invertible element is a unit; likewise for b.  So a product is a unit
-    only if every factor is one, and in every generating set X, X ∩ G
-    generates G.  For any P generating G, <P ∪ A> = <G ∪ A>.  The minimum
-    generating sets are thus exactly the unions of a minimum P ⊆ G and a
-    minimum A ⊆ S - G with <G ∪ A> = S, and as the units come first, a sorted
-    witness is P's tuple followed by A's: the lex-first P, then the lex-first
-    A, is the lex-first minimum.  With no identity g = 0 and P = (); a group
-    has A = (); units that are not the first ids are searched as if g = 0.
+    The search splits at the group of units G, wherever its ids lie:
+    r2 = rank(G) + relrank(S : G) (Howie, Ruškuc and Higgins, 1998).  In a
+    finite monoid ab = u, a unit, gives a(bu^-1) = e, and a right-invertible
+    element is a unit; likewise for b.  So a product is a unit only if every
+    factor is one, and in every generating set X, X ∩ G generates G.  For any
+    P generating G, <P ∪ A> = <G ∪ A>.  The minimum generating sets are thus
+    exactly the unions of a minimum P ⊆ G and a minimum A ⊆ S - G with
+    <G ∪ A> = S.  Of two sets of one size, X is lex-first iff the least id of
+    X △ Y lies in X, and as G and S - G are disjoint, (P ∪ A) △ (P' ∪ A') =
+    (P △ P') ∪ (A △ A'): the lex-first P joined with the lex-first A is the
+    lex-first minimum.  With no identity G is empty and P = (); a group has
+    A = ().
     """
     return _lower_rank(_Search(table, None))
 

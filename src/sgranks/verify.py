@@ -17,6 +17,7 @@ from . import core, ranks, reference
 from .endo import (
     AUTOMORPHISM,
     NONZERO_CONSTANT,
+    ORACLE_MAX_N,
     EndoMonoid,
     enumerate_endomorphisms_oracle,
     enumerate_endomorphisms_structural,
@@ -91,8 +92,11 @@ def _check_associativity(m: EndoMonoid) -> CheckResult:
 
 
 def _check_oracle(m: EndoMonoid) -> CheckResult:
-    if m.n > 3:
-        return CheckResult("oracle-equivalence", SKIPPED, f"exhaustive backtracking capped at n <= 3, got n={m.n}")
+    if m.n > ORACLE_MAX_N:
+        return CheckResult(
+            "oracle-equivalence", SKIPPED,
+            f"exhaustive backtracking capped at n <= {ORACLE_MAX_N}, got n={m.n}",
+        )
     found = enumerate_endomorphisms_oracle(m.n)
     same = {f.image for f in found} == {f.image for f in m.elements}
     return _result(

@@ -190,6 +190,23 @@ def test_ranks_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["ranks"]["r5"] == 3
 
 
+@pytest.mark.parametrize("command", ["ranks", "endo", "brandt"])
+def test_unwritable_out_exits_one(tmp_path, command):
+    # run as a process, so that an uncaught error would show its traceback
+    path = tmp_path / "missing" / "x.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(sgranks.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sgranks.cli import main; sys.exit(main(sys.argv[1:]))",
+         command, "--n", "2", "--out", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"sgranks {command}: ") and str(path) in line
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 0

@@ -162,6 +162,17 @@ def test_monoid_idempotents(monoids):
 def test_index_of_rejects_foreign_maps(monoids):
     with pytest.raises(ValueError):
         monoids[2].index_of(constant_map(THETA, 3))
+    # the ids of B_16 do not fit in a byte, the key of the index
+    with pytest.raises(ValueError, match="does not belong to this monoid"):
+        monoids[2].index_of(constant_map((16, 16), 16))
+
+
+def test_monoid_rejects_duplicates():
+    with pytest.raises(ValueError, match="duplicate endomorphisms"):
+        EndoMonoid(2, [constant_map(THETA, 2), constant_map(THETA, 2)])
+    # an image past a byte is reported first
+    with pytest.raises(ValueError, match="n <= 15"):
+        EndoMonoid(16, [constant_map((16, 16), 16)] * 2)
 
 
 def test_aut_subtable_is_symmetric_group(monoids):

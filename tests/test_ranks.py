@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -190,9 +191,9 @@ def units_first(table):
 
 
 def test_lower_rank_split_matches_oracle(monoids):
-    # monoids whose units come first take the search split at the group of
-    # units; relabelled so that they do not, and with their units spread out
-    # as in C_k x chain(m), they take the plain search
+    # monoids whose units come first, relabelled so that they do not, and
+    # with their units spread out as in C_k x chain(m): the search splits at
+    # the group of units wherever its ids lie
     unit_first = [full_transformation_monoid(2), symmetric_inverse_monoid(2)]
     unit_first += [with_zero(cyclic_group(k)) for k in range(1, 7)]
     shapes = unit_first[:2] + [with_zero(cyclic_group(3)), direct_product(cyclic_group(2), chain(2))]
@@ -216,6 +217,49 @@ def test_lower_rank_split_matches_oracle(monoids):
         out = lower_rank(table)
         assert (out.value, out.witness) == lex_first_generating(table), table.product
         assert out.exact and out.method == "exhaustive"
+
+
+def shuffled(table, seed):
+    perm = list(range(table.size))
+    random.Random(seed).shuffle(perm)
+    return relabel(table, perm)
+
+
+def test_lower_rank_splits_wherever_the_units_lie(monkeypatch):
+    # End(B_5) with its ids shuffled: the split takes 130-136 adjoins, one
+    # search over all 126 ids about 350,000
+    calls = 0
+    adjoin = ranks._Search.adjoin
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("more than 1,000 adjoins")
+        return adjoin(self, *args)
+
+    monkeypatch.setattr(ranks._Search, "adjoin", counted)
+    table = enumerate_endomorphisms_structural(5).table
+    for seed in range(3):
+        moved = shuffled(table, seed)
+        assert not units_first(moved)
+        calls = 0
+        out = lower_rank(moved)
+        assert out.value == 4 and is_generating(out.witness, moved)
+
+
+def test_lower_rank_witness_is_lex_first_wherever_the_units_lie():
+    table = enumerate_endomorphisms_structural(4).table
+    for seed in range(3):
+        moved = shuffled(table, seed)
+        assert not units_first(moved)
+        first = next(
+            combo
+            for k in range(1, 5)
+            for combo in combinations(range(moved.size), k)
+            if is_generating(combo, moved)
+        )
+        assert lower_rank(moved) == SearchOutcome(len(first), first)
 
 
 def test_lower_rank_end_b5():
