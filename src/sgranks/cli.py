@@ -12,6 +12,7 @@ conjecture search finds a refutation (the one newsworthy outcome).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -110,12 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path: str | None):
+    # --out is opened before the work it receives, so an unwritable path fails at once
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _note(message: str, stdout_taken: bool) -> None:
@@ -124,23 +122,28 @@ def _note(message: str, stdout_taken: bool) -> None:
 
 
 def cmd_brandt(args) -> int:
-    table = brandt.build_brandt(args.n)
-    _emit(core.format_table_text(table), args.out)
+    with _open_out(args.out) as out:
+        table = brandt.build_brandt(args.n)
+        out.write(core.format_table_text(table))
     _note(f"|B_{args.n}| = {table.size}", stdout_taken=args.out is None)
     return EXIT_OK
 
 
 def cmd_endo(args) -> int:
-    if args.oracle:
-        monoid = EndoMonoid(args.n, enumerate_endomorphisms_oracle(args.n))
-    else:
-        monoid = enumerate_endomorphisms_structural(args.n)
-    if args.json:
-        _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out)
-    else:
-        _emit(core.format_table_text(monoid.table), args.out)
-        if args.out:
-            _emit(json.dumps(monoid.sidecar(), indent=2) + "\n", args.out + ".json")
+    sidecar = args.out and not args.json  # the element list goes to PATH.json
+    with _open_out(args.out) as out, (
+        _open_out(args.out + ".json") if sidecar else contextlib.nullcontext()
+    ) as side:
+        if args.oracle:
+            monoid = EndoMonoid(args.n, enumerate_endomorphisms_oracle(args.n))
+        else:
+            monoid = enumerate_endomorphisms_structural(args.n)
+        if args.json:
+            out.write(json.dumps(monoid.sidecar(), indent=2) + "\n")
+        else:
+            out.write(core.format_table_text(monoid.table))
+            if sidecar:
+                side.write(json.dumps(monoid.sidecar(), indent=2) + "\n")
     _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
     return EXIT_OK
 
@@ -169,25 +172,29 @@ def cmd_ranks(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"sgranks ranks: cannot read table: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        report = core.validate(table)
-        if not report.ok:
-            a, b, c = report.violation
-            print(
-                f"sgranks ranks: table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        n = None
-    else:
-        table = enumerate_endomorphisms_structural(args.n).table
-        n = args.n
 
-    budget = ranks.Budget(seconds=args.budget)
-    result = ranks.rank_report(table, budget=budget, n=n, which=which)
-    if args.json:
-        _emit(json.dumps(result.to_dict(), indent=2) + "\n", args.out)
-    else:
-        _emit(result.format_text(), args.out)
+    # opened after the table is read, so that --out may name the table file
+    with _open_out(args.out) as out:
+        if args.table is not None:
+            report = core.validate(table)
+            if not report.ok:
+                a, b, c = report.violation
+                print(
+                    f"sgranks ranks: table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})",
+                    file=sys.stderr,
+                )
+                return EXIT_ERROR
+            n = None
+        else:
+            table = enumerate_endomorphisms_structural(args.n).table
+            n = args.n
+
+        budget = ranks.Budget(seconds=args.budget)
+        result = ranks.rank_report(table, budget=budget, n=n, which=which)
+        if args.json:
+            out.write(json.dumps(result.to_dict(), indent=2) + "\n")
+        else:
+            out.write(result.format_text())
     return EXIT_OK
 
 

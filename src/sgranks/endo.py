@@ -12,9 +12,8 @@ the second exists to check the first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .brandt import THETA, build_brandt, element_to_id, id_to_element
@@ -214,8 +213,10 @@ def canonical_sort_key(f: Endomorphism):
 class EndoMonoid:
     """All endomorphisms of B_n under composition, with a fixed element order.
 
-    Element ids: the n! automorphisms sorted by permutation image (identity
-    first), then the constants onto (1,1)..(n,n), then the zero constant last.
+    Element ids: the automorphisms sorted by permutation image (identity
+    first), then the constants onto (1,1)..(n,n), then the zero constant last,
+    as canonical_sort_key orders them; elements in any other order raise
+    ValueError.
 
     The table is composed from the image vectors, by the definition of fg,
     not from a formula on permutations, so verify's automorphism-composition
@@ -236,6 +237,10 @@ class EndoMonoid:
         self._index = index = {key: k for k, key in enumerate(keys)}
         if len(index) != len(keys):
             raise ValueError("duplicate endomorphisms")
+        order = list(map(canonical_sort_key, self.elements))
+        if any(a >= b for a, b in zip(order, order[1:])):
+            raise ValueError("endomorphisms are not in canonical order")
+        self._aut_count = sum(f.kind == AUTOMORPHISM for f in self.elements)
         # g's image as a translation table: key_f.translate(tables[g]) is the image of fg
         tables = [key.ljust(256, b"\0") for key in keys]
         rows = []
@@ -266,21 +271,21 @@ class EndoMonoid:
         """Id of the constant onto (i, i)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"no constant onto ({i},{i}) for n={self.n}")
-        return math.factorial(self.n) + (i - 1)
+        return self.index_of(constant_map((i, i), self.n))
 
-    @property
+    @cached_property  # verify reads it once per element
     def zero_id(self) -> int:
-        """Id of the zero constant (always last)."""
-        return len(self.elements) - 1
+        """Id of the zero constant (last when present)."""
+        return self.index_of(constant_map(THETA, self.n))
 
     @property
     def automorphism_ids(self) -> range:
-        return range(math.factorial(self.n))
+        return range(self._aut_count)
 
     @property
     def constant_ids(self) -> range:
-        """Ids of all n + 1 constants, the zero constant included."""
-        return range(math.factorial(self.n), len(self.elements))
+        """Ids of all the constants, the zero constant included."""
+        return range(self._aut_count, len(self.elements))
 
     def aut_subtable(self) -> SemigroupTable:
         """Subtable on the automorphisms (a copy of the symmetric group S_n)."""

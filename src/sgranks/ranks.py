@@ -90,9 +90,8 @@ class _Search:
     memo[x][mask] is <mask + {x}> for a closed mask; every adjoin of r2 and
     the walk goes through adjoin(), and the memo is emptied when it would
     pass _MEMO_ENTRIES entries.  It changes no value, witness or tick: each
-    caller passes mask = <gens> and a target holding <gens + [x]> (r2's
-    search of the units passes the unit mask and adjoins only units), so
-    core._adjoin returns <mask + {x}>, fixed by (mask, x) alone.
+    caller passes mask = <gens>, so the result is <mask + {x}>, fixed by
+    (mask, x) alone.
     """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
@@ -102,8 +101,8 @@ class _Search:
         self.memo: list[dict[int, int]] = [{} for _ in range(table.size)]
         self.room = _MEMO_ENTRIES  # entries the memo may still take
 
-    def adjoin(self, gens: list[int], mask: int, x: int, target: int) -> int:
-        """<gens + [x]>, given mask = <gens> and a target that holds the result."""
+    def adjoin(self, gens: list[int], mask: int, x: int) -> int:
+        """<gens + [x]>, given mask = <gens>."""
         seen = self.memo[x]
         cl = seen.get(mask)
         if cl is None:
@@ -112,7 +111,7 @@ class _Search:
                     kept.clear()
                 self.room = _MEMO_ENTRIES
             self.room -= 1
-            cl = seen[mask] = core._adjoin(self.product, gens, mask, x, target)
+            cl = seen[mask] = core._adjoin(self.product, gens, mask, x, self.full)
         return cl
 
     @cached_property
@@ -159,9 +158,8 @@ def _independent_sets(s: _Search):
     still reached, and only those.  Conjugations preserve independence and
     generation, so the lex-first largest independent set, and the lex-first
     largest generating one, are lex-min in their orbits and the walk's
-    witnesses are unchanged; so is the first set of any size, where a walk
-    given stop_at ends.  With no conjugations this is the plain lex walk over
-    all independent subsets.
+    witnesses are unchanged.  With no conjugations this is the plain lex walk
+    over all independent subsets.
     """
     perms = s.conjugations
     last = len(s.product) - 1
@@ -177,7 +175,7 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
     # the highest bit, conj its images under the conjugations and images[x]
     # the bits of the images of x.
     yield tuple(u), whole
-    product, clock, full = s.product, s.clock, s.full
+    product, clock = s.product, s.clock
     last = len(product) - 1
     for x in range(u[-1] + 1 if u else 0, len(product)):
         if clock is not None:
@@ -189,7 +187,7 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
         if max(moved, default=0) <= grown:  # no image of u + [x] is lex-smaller
             ext = []
             for i, a in enumerate(u):
-                cl = s.adjoin(u[:i] + u[i + 1:], minus[i], x, full)
+                cl = s.adjoin(u[:i] + u[i + 1:], minus[i], x)
                 if cl >> a & 1:
                     break
                 ext.append(cl)
@@ -197,7 +195,7 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
                 ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
                 yield from _branch(
                     s, images, u + [x], ext,
-                    s.adjoin(u, whole, x, full), grown, moved,
+                    s.adjoin(u, whole, x), grown, moved,
                 )
 
 
@@ -216,13 +214,12 @@ class SearchOutcome:
     method: str = "exhaustive"
 
 
-def _walk(s: _Search, stop_at: int | None = None) -> tuple[SearchOutcome, SearchOutcome]:
+def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
     """r4 and r3 from one walk of _independent_sets: (largest, largest generating).
 
     Only a strictly larger set replaces the one held, so each witness is the
-    lex-first at its size.  The walk ends early at the first independent set of
-    stop_at elements, if given; both outcomes then count as exact, as they do
-    for a complete walk.  A cut budget leaves both inexact.
+    lex-first at its size.  The walk runs to its end, and both outcomes are
+    exact, or to its budget, which leaves both inexact.
     """
     full = s.full
     largest: tuple[int, ...] = ()
@@ -232,17 +229,14 @@ def _walk(s: _Search, stop_at: int | None = None) -> tuple[SearchOutcome, Search
         for ids, cl in _independent_sets(s):
             if len(ids) > len(largest):
                 largest = ids
-                if stop_at is not None and len(ids) >= stop_at:
-                    break
             if cl == full and len(ids) > len(generating):
                 generating = ids
-        else:
-            # cannot happen: a smallest generating set is independent, because
-            # dropping a redundant member would leave a smaller one
-            if not generating:
-                raise AssertionError("no independent generating set found by a complete search")
     except _Exhausted:
         exact = False
+    # cannot happen: a smallest generating set is independent, because
+    # dropping a redundant member would leave a smaller one
+    if exact and not generating:
+        raise AssertionError("no independent generating set found by a complete search")
     return (
         SearchOutcome(len(largest), largest, exact, "pruned-search"),
         SearchOutcome(len(generating), generating, exact, "pruned-search"),
@@ -264,17 +258,19 @@ def _first_generating(s: _Search, need: int, u: list[int], cl: int,
     """Lex-first way to extend the prefix u (closure cl) by need of the ascending
     ids[i:] so that the closure becomes target, as a tuple; None if none does.
 
-    Closures are adjoined incrementally down the prefix tree.  target bounds
-    every closure reached here, so _adjoin may stop growing once it is hit.
-    Module level for the reason given at _branch.
+    Closures are adjoined incrementally down the prefix tree.  As in the walk,
+    an x already in cl is skipped: no member of a smallest set reaching target
+    is generated by those before it, so the lex-first one survives.  Module
+    level for the reason given at _branch.
     """
     if need == 0:
         return tuple(u) if cl == target else None
     for j in range(i, len(ids) - need + 1):
         x = ids[j]
+        if cl >> x & 1:
+            continue  # x is already generated by u
         got = _first_generating(
-            s, need - 1, u + [x],
-            s.adjoin(u, cl, x, target), ids, j + 1, target,
+            s, need - 1, u + [x], s.adjoin(u, cl, x), ids, j + 1, target,
         )
         if got is not None:
             return got
@@ -532,7 +528,7 @@ class ConjectureReport:
     identity automorphism and all constants.  verdict is one of:
 
       confirmed            complete search found nothing larger
-      refuted-with-witness an independent subset of size n + 3 exists
+      refuted-with-witness an independent subset of size at least n + 3 exists
       inconclusive         the budget ran out first; best_found is still valid
     """
 
@@ -574,8 +570,9 @@ def verify_conjecture(
     """Does any independent subset of End(B_n) beat the predicted size n + 2?
 
     First re-verifies the guaranteed size-(n+2) independent subset (identity
-    plus all constants), then searches for an independent subset of size n + 3,
-    stopping at the first hit.  Any refutation is re-verified through
+    plus all constants), then walks the independent subsets to the end or the
+    budget.  A refutation is the lex-first largest independent subset found,
+    if it has at least n + 3 elements, and is re-verified through
     is_independent before being reported.
     """
     if n < 2:
@@ -588,7 +585,7 @@ def verify_conjecture(
     if len(witness) != n + 2 or not core.is_independent(witness, table):
         raise RuntimeError("guaranteed lower-bound witness failed; engine fault")
 
-    best, _ = _walk(_Search(table, budget), stop_at=n + 3)
+    best, _ = _walk(_Search(table, budget))
     if best.value >= n + 3:
         if not core.is_independent(best.witness, table):
             raise RuntimeError("refutation candidate failed re-verification")

@@ -10,7 +10,7 @@ import sgranks
 from sgranks import cli
 from sgranks.brandt import build_brandt
 from sgranks.core import format_table_text, parse_table_text
-from sgranks.ranks import rank_report
+from sgranks.ranks import ConjectureReport, rank_report
 
 from _tablegen import left_zero_band
 
@@ -207,6 +207,34 @@ def test_unwritable_out_exits_one(tmp_path, command):
     assert "Traceback" not in done.stderr
 
 
+def test_out_is_opened_before_any_work(capsys, monkeypatch, tmp_path):
+    # an unwritable --out ends the run before the build or the search starts
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before --out was opened")
+
+    monkeypatch.setattr(cli.ranks, "rank_report", never)
+    monkeypatch.setattr(cli, "enumerate_endomorphisms_structural", never)
+    monkeypatch.setattr(cli.brandt, "build_brandt", never)
+    missing = str(tmp_path / "missing" / "x.json")
+    for command in ("ranks", "endo", "brandt"):
+        code, out, err = run(capsys, command, "--n", "6", "--out", missing)
+        assert code == 1 and out == ""
+        assert err.startswith(f"sgranks {command}: ") and missing in err
+    # the sidecar path of endo is opened before the build too
+    (tmp_path / "end.tbl.json").mkdir()
+    code, _, err = run(capsys, "endo", "--n", "6", "--out", str(tmp_path / "end.tbl"))
+    assert code == 1 and "end.tbl.json" in err
+
+
+def test_ranks_out_may_name_its_table(capsys, tmp_path):
+    # the table file is read before --out is opened and emptied
+    path = tmp_path / "b2.tbl"
+    path.write_text(format_table_text(build_brandt(2)))
+    code, out, _ = run(capsys, "ranks", "--table", str(path), "--json", "--out", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["ranks"] == rank_report(build_brandt(2)).ranks
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 0
@@ -219,6 +247,23 @@ def test_conjecture_confirmed_exits_zero(capsys):
     code, out, _ = run(capsys, "conjecture", "--n", "2")
     assert code == 0
     assert "confirmed" in out
+
+
+def test_conjecture_refutation_exits_two(capsys, monkeypatch):
+    # no refutation is known, so a stub search reports all of End(B_2) as one
+    def refuted(n, budget=None, monoid=None):
+        witness, found = (0,) + tuple(monoid.constant_ids), tuple(range(len(monoid)))
+        return ConjectureReport(n, n + 2, witness, "refuted-with-witness", found, found)
+
+    monkeypatch.setattr(cli.ranks, "verify_conjecture", refuted)
+    code, out, _ = run(capsys, "conjecture", "--n", "2")
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "verdict: refuted-with-witness "
+        "(independent set of size 5: phi_id phi_(1,2) xi_(1,1) xi_(2,2) xi_theta)"
+    )
+    code, out, _ = run(capsys, "conjecture", "--n", "2", "--json")
+    assert code == 2 and json.loads(out)["refutation"][0] == "phi_id"
 
 
 def test_conjecture_json(capsys):

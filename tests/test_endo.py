@@ -175,6 +175,31 @@ def test_monoid_rejects_duplicates():
         EndoMonoid(16, [constant_map((16, 16), 16)] * 2)
 
 
+def test_monoid_rejects_elements_out_of_canonical_order():
+    # ids are read off the canonical order, so any other order is refused
+    elements = enumerate_endomorphisms_structural(2).elements
+    with pytest.raises(ValueError, match="canonical order"):
+        EndoMonoid(2, reversed(elements))
+    # the duplicate check comes first and keeps its message
+    with pytest.raises(ValueError, match="duplicate endomorphisms"):
+        EndoMonoid(2, [elements[4], elements[0], elements[4]])
+
+
+def test_monoid_ids_come_from_its_elements():
+    # a monoid of the zero constant alone has no automorphism
+    m = EndoMonoid(2, [constant_map(THETA, 2)])
+    assert list(m.automorphism_ids) == []
+    assert list(m.constant_ids) == [0] and m.zero_id == 0
+    with pytest.raises(ValueError, match="does not belong"):
+        m.constant_id(1)
+    # the identity and the constants of End(B_2), without phi_(1,2)
+    elements = enumerate_endomorphisms_structural(2).elements
+    m = EndoMonoid(2, elements[:1] + elements[2:])
+    assert list(m.automorphism_ids) == [0]
+    assert list(m.constant_ids) == [1, 2, 3]
+    assert (m.constant_id(1), m.constant_id(2), m.zero_id) == (1, 2, 3)
+
+
 def test_aut_subtable_is_symmetric_group(monoids):
     for n in (2, 3, 4):
         sub = monoids[n].aut_subtable()
