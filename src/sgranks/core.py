@@ -80,12 +80,38 @@ class ValidationReport:
 def validate(table: SemigroupTable) -> ValidationReport:
     """Check (a*b)*c == a*(b*c) for every triple, reporting the first failure.
 
-    Compares whole rows over c: row a*b of the table against a's row read
-    through b's row.  Only a row that differs is scanned for its first c.
+    Light's test: the middle factor b need only run over a generating set A.
+    Let M = {b : (x*b)*y == x*(b*y) for all x, y}.  For b, c in M and any x, y:
+    1. (x*(b*c))*y == ((x*b)*c)*y, as b is in M;
+    2. ((x*b)*c)*y == (x*b)*(c*y), as c is in M;
+    3. (x*b)*(c*y) == x*(b*(c*y)), as b is in M;
+    4. x*(b*(c*y)) == x*((b*c)*y), as c is in M.
+    So b*c is in M, M is closed under the product, and A within M gives M = S.
+
+    A is picked greedily: each id the closure so far misses is adjoined.  The
+    closure is built from left-normed products g1*g2*...*gk only, each a
+    product in any table, so it assumes no associativity.  For each b in A,
+    whole rows over c are compared: row a*b of the table against a's row read
+    through b's row.  Any mismatch falls back to the same comparison over
+    every (a, b) in lex order, and only a row that differs there is scanned
+    for its first c, so the reported triple is the lex-first.
     """
     p = table.product
     n = table.size
     if n == 1:  # [[0]] is the only such table; itemgetter would return a scalar
+        return ValidationReport(True)
+    full = (1 << n) - 1
+    gens: list[int] = []
+    mask = 0
+    for x in range(n):
+        if not mask >> x & 1:
+            mask = _adjoin(p, gens, mask, x, full)
+            gens.append(x)
+    for b in gens:
+        after_b = itemgetter(*p[b])
+        if any(p[pa[b]] != after_b(pa) for pa in p):
+            break
+    else:
         return ValidationReport(True)
     # after[b](pa) is the row of a*(b*c) over c
     after = [itemgetter(*row) for row in p]

@@ -81,8 +81,6 @@ def _check_monoid_structure(m: EndoMonoid) -> CheckResult:
 
 
 def _check_associativity(m: EndoMonoid) -> CheckResult:
-    if len(m) > 130:
-        return CheckResult("table-associativity", SKIPPED, f"size {len(m)} beyond cubic revalidation")
     report = core.validate(m.table)
     return _result(
         "table-associativity",

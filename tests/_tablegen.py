@@ -47,6 +47,15 @@ def _random_transformation_monoid(rng, max_size=5):
     return composition_table(maps)
 
 
+def first_violation(table):
+    """validate's contract by brute force: the lex-first triple that does not associate."""
+    p = table.product
+    for a, b, c in product(range(table.size), repeat=3):
+        if p[p[a][b]][c] != p[a][p[b][c]]:
+            return (a, b, c)
+    return None
+
+
 def composition_table(maps):
     """The table of a list of partial self-maps of 0..p-1, closed under "f
     then g", with ids in list order; None marks an undefined point."""

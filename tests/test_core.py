@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 
@@ -23,7 +22,14 @@ from sgranks.core import (
 from sgranks.endo import enumerate_endomorphisms_structural
 from sgranks.reference import subset_flags
 
-from _tablegen import cyclic_group, random_semigroup_pool, special_tables
+from _tablegen import (
+    cyclic_group,
+    first_violation,
+    full_transformation_monoid,
+    random_semigroup_pool,
+    special_tables,
+    symmetric_inverse_monoid,
+)
 
 POOL = random_semigroup_pool()
 
@@ -57,17 +63,8 @@ def test_validate_accepts_associative_tables():
         assert validate(table).ok
 
 
-def _first_violation(table):
-    """validate's contract by brute force: the lex-first triple that does not associate."""
-    p = table.product
-    for a, b, c in itertools.product(range(table.size), repeat=3):
-        if p[p[a][b]][c] != p[a][p[b][c]]:
-            return (a, b, c)
-    return None
-
-
 def _assert_validate_matches_brute_force(table):
-    expected = _first_violation(table)
+    expected = first_violation(table)
     report = validate(table)
     assert (report.ok, report.violation) == (expected is None, expected)
 
@@ -81,6 +78,48 @@ def test_validate_matches_brute_force_on_small_cases():
     assert validate(table).violation == (1, 0, 2)
     for table in (table, NOT_ASSOC, LEFT_ZERO_2):
         _assert_validate_matches_brute_force(table)
+
+
+def _greedy_generators(table):
+    """The generating set validate's test reads: each id the closure so far misses."""
+    gens = []
+    for x in range(table.size):
+        if x not in closure(gens, table):
+            gens.append(x)
+    return gens
+
+
+def test_validate_matches_brute_force_with_faults_on_and_off_the_generators(monoids, b_tables):
+    # Light's test reads the rows of a*b only for b among the greedy generators,
+    # so a wrong entry in a generator's row, in a generator's column and where
+    # neither factor is a generator must each be reported as the full scan would
+    rng = random.Random(20261019)
+    tables = [
+        monoids[3].table,
+        b_tables[3],
+        full_transformation_monoid(3),
+        symmetric_inverse_monoid(3),
+    ]
+    for table in tables:
+        n = table.size
+        gens = _greedy_generators(table)
+        others = [a for a in range(n) if a not in gens]
+        places = {
+            "generator's row": [(g, rng.randrange(n)) for g in gens],
+            "generator's column": [(rng.randrange(n), g) for g in gens],
+            "neither factor a generator": rng.sample([(x, y) for x in others for y in others], 4),
+        }
+        for where, entries in places.items():
+            violated = 0
+            for x, y in entries:
+                rows = [list(row) for row in table.product]
+                rows[x][y] = rng.choice([v for v in range(n) if v != rows[x][y]])
+                faulty = SemigroupTable.from_rows(rows)
+                expected = first_violation(faulty)
+                report = validate(faulty)
+                assert (report.ok, report.violation) == (expected is None, expected), (n, where, x, y)
+                violated += expected is not None
+            assert violated, (n, where)
 
 
 def test_closure_of_empty_set_is_empty():

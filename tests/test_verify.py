@@ -10,6 +10,8 @@ from sgranks import verify
 from sgranks.endo import AUTOMORPHISM, NONZERO_CONSTANT, enumerate_endomorphisms_structural
 from sgranks.ranks import Budget
 
+from _tablegen import first_violation
+
 
 def by_name(results):
     return {r.name: r for r in results}
@@ -142,3 +144,21 @@ def test_product_checks_match_every_short_word(monoids, n, fault):
 def test_product_checks_pass_on_end_b5():
     got = product_statuses(enumerate_endomorphisms_structural(5))
     assert set(got.values()) == {verify.PASS}, got
+
+
+def test_associativity_check_passes_on_end_b6():
+    m = enumerate_endomorphisms_structural(6)
+    assert verify._check_associativity(m) == verify.CheckResult(
+        "table-associativity", verify.PASS, "all triples associate"
+    )
+
+
+def test_associativity_check_names_the_lex_first_triple(monoids):
+    # End(B_4): automorphism 13 times the constant 25 set to the zero constant;
+    # neither factor is among the generators validate's test reads
+    m = planted(monoids[4], 13, 25, 28)
+    triple = first_violation(m.table)
+    assert triple is not None
+    assert verify._check_associativity(m) == verify.CheckResult(
+        "table-associativity", verify.FAIL, f"violated at {triple}"
+    )
