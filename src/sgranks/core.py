@@ -13,7 +13,12 @@ from typing import Iterable, Iterator
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds its configured search budget."""
+    """A requested computation exceeds a fixed size cap.
+
+    The caps are the structural enumeration at n <= 6, the backtracking
+    oracle at n <= 3 and the reference oracle at 12 elements.  A spent
+    search budget never raises: it flags its records inexact.
+    """
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,9 @@ class _Clock:
 
 class _Search:
     """What the searches of one table share, all freed with it: the product,
-    the full mask, the clock (None without a budget), the closure memo and,
-    each computed on first use, the group of units and its conjugations.
+    the full mask, the clock (one with no limits when there is no budget), the
+    closure memo and, each computed on first use, the identity, the group of
+    units and its conjugations.
 
     memo[x][mask] is <mask + {x}> for a closed mask; every adjoin of r2 and
     the walk goes through adjoin(), and the memo is emptied when it would
@@ -97,7 +98,7 @@ class _Search:
     def __init__(self, table: SemigroupTable, budget: Budget | None):
         self.product = table.product
         self.full = (1 << table.size) - 1
-        self.clock = None if budget is None else budget.clock()
+        self.clock = (Budget(seconds=None) if budget is None else budget).clock()
         self.memo: list[dict[int, int]] = [{} for _ in range(table.size)]
         self.room = _MEMO_ENTRIES  # entries the memo may still take
 
@@ -115,8 +116,19 @@ class _Search:
         return cl
 
     @cached_property
+    def identity(self) -> int | None:
+        """The id of the two-sided identity, or None when the table has none."""
+        p, ids = self.product, range(len(self.product))
+        return next((e for e in ids if all(p[e][x] == x == p[x][e] for x in ids)), None)
+
+    @cached_property
     def units(self) -> int:
-        return _unit_mask(self.product)
+        """The group of units as a mask, or 0 when the table has no identity."""
+        e = self.identity
+        if e is None:
+            return 0
+        # ab = e gives ba = e in a finite monoid, so a is a unit iff e is in its row
+        return sum(1 << a for a, row in enumerate(self.product) if e in row)
 
     @cached_property
     def conjugations(self) -> list[tuple[int, ...]]:
@@ -125,15 +137,13 @@ class _Search:
         Each is an automorphism of the (associative) table.  A node budget
         gets none, so that it counts the nodes of the plain lex walk.
         """
-        if self.clock is not None and self.clock.max_nodes is not None:
+        if self.clock.max_nodes is not None:
             return []
-        product = self.product
-        units = list(core._iter_bits(self.units))
-        e = next((a for a in units if product[a][a] == a), None)  # a group's one idempotent
+        product, e = self.product, self.identity
         ids = range(len(product))
         perms = set()
-        for g in units:
-            h = next(h for h in units if product[g][h] == e)
+        for g in core._iter_bits(self.units):
+            h = product[g].index(e)  # g's inverse: gh = e only for h = g^-1
             perms.add(tuple(product[product[g][x]][h] for x in ids))
         perms.discard(tuple(ids))
         return sorted(perms)
@@ -175,11 +185,10 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
     # the highest bit, conj its images under the conjugations and images[x]
     # the bits of the images of x.
     yield tuple(u), whole
-    product, clock = s.product, s.clock
+    product, tick = s.product, s.clock.tick
     last = len(product) - 1
     for x in range(u[-1] + 1 if u else 0, len(product)):
-        if clock is not None:
-            clock.tick()
+        tick()
         if whole >> x & 1:
             continue  # x is already generated by u
         grown = rev | 1 << last - x
@@ -275,19 +284,6 @@ def _first_generating(s: _Search, need: int, u: list[int], cl: int,
         if got is not None:
             return got
     return None
-
-
-def _unit_mask(product) -> int:
-    """The group of units as a mask, or 0 when the table has no identity."""
-    ids = range(len(product))
-    e = next(
-        (e for e in ids if all(product[e][x] == x and product[x][e] == x for x in ids)),
-        None,
-    )
-    if e is None:
-        return 0
-    # ab = e gives ba = e in a finite monoid, so a is a unit iff e is in its row
-    return sum(1 << a for a, row in enumerate(product) if e in row)
 
 
 def _smallest_generating(s: _Search, u: list[int], cl: int,

@@ -16,7 +16,6 @@ from sgranks.core import (
 from sgranks.ranks import (
     Budget,
     SearchOutcome,
-    _unit_mask,
     intermediate_rank,
     large_rank,
     lower_rank,
@@ -186,7 +185,7 @@ def lex_first_generating(table):
 
 def units_first(table):
     """True when the units are the ids 0..g-1 for some 0 < g < N."""
-    units = _unit_mask(table.product)
+    units = ranks._Search(table, None).units
     return 0 < units.bit_length() < table.size and units & (units + 1) == 0
 
 
@@ -197,7 +196,9 @@ def test_lower_rank_split_matches_oracle(monoids):
     unit_first = [full_transformation_monoid(2), symmetric_inverse_monoid(2)]
     unit_first += [with_zero(cyclic_group(k)) for k in range(1, 7)]
     shapes = unit_first[:2] + [with_zero(cyclic_group(3)), direct_product(cyclic_group(2), chain(2))]
-    assert [_unit_mask(t.product) for t in shapes + [left_zero_band(3)]] == [0b11, 0b11, 0b111, 0b1010, 0]
+    contexts = [ranks._Search(t, None) for t in shapes + [left_zero_band(3)]]
+    assert [s.units for s in contexts] == [0b11, 0b11, 0b111, 0b1010, 0]
+    assert [s.identity for s in contexts] == [0, 0, 0, 1, None]
     unit_first += [monoids[n].table for n in (1, 2, 3)]
     plain = [direct_product(cyclic_group(k), chain(m)) for k, m in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 5))]
     rng = random.Random(7)
@@ -427,7 +428,7 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
 
     monkeypatch.setattr(ranks._Search, "__init__", tracked)
     grid = direct_product(cyclic_group(3), chain(2))
-    units = ids_of(_unit_mask(grid.product))
+    units = ids_of(ranks._Search(grid, None).units)
     order = list(units) + [a for a in range(grid.size) if a not in units]
     first = relabel(grid, [order.index(a) for a in range(grid.size)])
     assert units_first(first)
@@ -613,7 +614,7 @@ def conjugations_by_definition(table):
 
 
 def test_independent_set_enumeration_matches_definition(monoids):
-    from sgranks.ranks import _independent_sets, _Search
+    from sgranks.ranks import _independent_sets, _Search, _walk
 
     plain = Budget(seconds=None, max_nodes=10**9)  # a node budget walks the plain tree
     for n in (2, 3):
@@ -633,6 +634,14 @@ def test_independent_set_enumeration_matches_definition(monoids):
         assert len(reps) < len(expected)
         reduced = {ids for ids, _ in _independent_sets(_Search(table, None))}
         assert reduced == reps
+    # the ticks of complete walks of End(B_2..4), reduced and plain, as README
+    # quotes them; perfbench's toy end5-walk needs End(B_3)'s plain walk to
+    # pass its 100-node budget
+    for n, reduced_ticks, plain_ticks in ((2, 20, 23), (3, 79, 208), (4, 847, 9411)):
+        for budget, ticks in ((None, reduced_ticks), (plain, plain_ticks)):
+            s = _Search(monoids[n].table, budget)
+            assert _walk(s)[0].exact
+            assert s.clock.nodes == ticks, (n, budget)
 
 
 def test_conjugations_are_distinct_automorphisms(monoids):
