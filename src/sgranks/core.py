@@ -37,11 +37,29 @@ class SemigroupTable:
         n = len(self.product)
         if n == 0:
             raise ValueError("a semigroup table needs at least one element")
+        # three C-level gates over the whole table; a row of ints (bools
+        # included) sums to an int, and that gate comes before the set, which
+        # would merge 1.0 into 1
+        try:
+            passed = (
+                all(len(row) == n for row in self.product)
+                and all(type(sum(row)) is int for row in self.product)
+                and set().union(*self.product).issubset(range(n))
+            )
+        except TypeError:
+            passed = False
+        if not passed:
+            self._check_rows(n)
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError("label count must match table size")
+
+    def _check_rows(self, n: int) -> None:
+        """Check shape, integer entries and range row by row; raises at the first bad row."""
         for row in self.product:
             if len(row) != n:
                 raise ValueError("product table must be square")
-            # a row of ints (bools included) sums to an int; only a row that
-            # does not is scanned for its first non-integer entry
+            # only a row that does not sum to an int is scanned for its first
+            # non-integer entry
             try:
                 integral = type(sum(row)) is int
             except TypeError:
@@ -53,8 +71,6 @@ class SemigroupTable:
             for v in row:
                 if not 0 <= v < n:
                     raise ValueError(f"table entry {v} out of range [0, {n})")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("label count must match table size")
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "SemigroupTable":

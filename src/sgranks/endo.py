@@ -220,9 +220,13 @@ class EndoMonoid:
 
     The table is composed from the image vectors, by the definition of fg,
     not from a formula on permutations, so verify's automorphism-composition
-    check stays independent of it.  Each image is held as bytes and used as a
-    translation table, so image ids must fit in a byte: n <= 15.  Raises
-    ValueError if a composite is not among the elements.
+    check stays independent of it.  Only the rows of a greedy generating set
+    are composed so (each id in ascending order that the generators so far
+    do not give; n + 2 of them for End(B_n)); every other row is read off
+    through associativity of composition, as in Froidure and Pin (1997).
+    Each image is held as bytes and used as a translation table, so image
+    ids must fit in a byte: n <= 15.  Raises ValueError if a composite is
+    not among the elements, naming the first such pair in row-major order.
     """
 
     def __init__(self, n: int, elements):
@@ -243,15 +247,40 @@ class EndoMonoid:
         self._aut_count = sum(f.kind == AUTOMORPHISM for f in self.elements)
         # g's image as a translation table: key_f.translate(tables[g]) is the image of fg
         tables = [key.ljust(256, b"\0") for key in keys]
-        rows = []
-        for f, key in zip(self.elements, keys):
+        rows = [None] * len(keys)
+        generators = []
+        known = []  # ids whose rows are set, closed under right products by the generators
+
+        def derive(f: int, s: int) -> None:
+            # composition of maps is associative, so (fs)g = f(sg) for every g:
+            # the row of fs is f's row read at the entries of s's row
+            h = rows[f][s]
+            if rows[h] is None:
+                rows[h] = _pick(rows[s], rows[f])
+                known.append(h)
+
+        for x, key in enumerate(keys):
+            if rows[x] is not None:
+                continue
+            # x is not a product of the generators so far: compose its row by definition
             try:
-                rows.append(_pick(list(map(key.translate, tables)), index))
+                rows[x] = _pick(list(map(key.translate, tables)), index)
             except KeyError:
+                f = self.elements[x]
                 g = next(g for g, t in zip(self.elements, tables) if key.translate(t) not in index)
                 raise ValueError(
                     f"the composite {f.label} then {g.label} is not among the elements"
                 ) from None
+            generators.append(x)
+            old = len(known)
+            known.append(x)
+            for f in known[:old]:
+                derive(f, x)
+            i = old
+            while i < len(known):  # known grows as rows are derived
+                for s in generators:
+                    derive(known[i], s)
+                i += 1
         self.table = SemigroupTable.from_rows(rows, [f.label for f in self.elements])
 
     def __len__(self) -> int:

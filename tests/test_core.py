@@ -271,6 +271,21 @@ def test_table_construction_rejects_non_integer_entries():
         SemigroupTable(((0.5,),))
 
 
+def test_table_construction_reports_the_first_bad_row():
+    # rows are checked in order, each for shape, then integer entries, then range
+    cases = [
+        ([[5, 0], [0]], r"^table entry 5 out of range \[0, 2\)$"),
+        ([[5, 0], [0.5, 0]], r"^table entry 5 out of range \[0, 2\)$"),
+        ([[0, 1], [0.5]], r"^product table must be square$"),
+        ([[0, 1.0], [2, 0]], r"^table entry 1\.0 is not an integer$"),
+        ([[0, -1], [1, 0]], r"^table entry -1 out of range \[0, 2\)$"),
+        ([[0, 1], [1, 0], [0, 0]], r"^product table must be square$"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SemigroupTable.from_rows(rows)
+
+
 def test_table_construction_accepts_bools_as_ids():
     t = SemigroupTable.from_rows([[False, True], [True, False]])
     assert t == SemigroupTable.from_rows([[0, 1], [1, 0]])

@@ -262,6 +262,56 @@ def test_monoid_table_matches_compose(monoids):
                 assert p[a][b] == m.index_of(compose(f, g)), (m.n, a, b)
 
 
+def _by_definition(elements):
+    """The product rows of elements by the definition of fg, or the message
+    naming the first composite, in row-major order, that is not among them."""
+    index = {f.image: k for k, f in enumerate(elements)}
+    rows = []
+    for f in elements:
+        row = []
+        for g in elements:
+            fg = tuple(g.image[v] for v in f.image)
+            if fg not in index:
+                return f"the composite {f.label} then {g.label} is not among the elements"
+            row.append(index[fg])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_monoid_table_of_end_b5_matches_the_definition():
+    m = enumerate_endomorphisms_structural(5)
+    assert len(m) == 126  # 15,876 pairs
+    assert m.table.product == _by_definition(m.elements)
+
+
+def test_monoid_of_the_constants_alone():
+    # a closed list in which no row follows from the others: every element is
+    # a generator, and fg = g for constants f and g
+    elements = [constant_map((i, i), 3) for i in (1, 2, 3)] + [constant_map(THETA, 3)]
+    m = EndoMonoid(3, elements)
+    assert m.table.product == _by_definition(elements) == ((0, 1, 2, 3),) * 4
+
+
+def test_monoid_sublists_build_or_name_the_first_missing_composite():
+    # one element dropped, prefixes and suffixes: the build and the first
+    # failing pair must be those of composing every row by definition
+    closed = 0
+    for n in (2, 3, 4):
+        els = enumerate_endomorphisms_structural(n).elements
+        sublists = [els[:k] + els[k + 1:] for k in range(len(els))]
+        sublists += [els[:k] for k in range(1, len(els))] + [els[k:] for k in range(1, len(els))]
+        for sub in sublists:
+            expected = _by_definition(sub)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as info:
+                    EndoMonoid(n, sub)
+                assert str(info.value) == expected, (n, [f.label for f in sub])
+            else:
+                assert EndoMonoid(n, sub).table.product == expected
+                closed += 1
+    assert closed > 0
+
+
 def test_monoid_rejects_elements_not_closed_under_composition():
     elements = [phi_of_perm((1, 2), 2), phi_of_perm((2, 1), 2), constant_map((1, 1), 2)]
     # xi_(1,1) then phi_(1,2) is the constant onto (2,2), which is missing
