@@ -158,42 +158,68 @@ def _independent_sets(s: _Search):
     extending by x updates each with core._adjoin, and a branch dies on the
     first extension that makes some element redundant.
 
-    It also carries the image of U under each conjugation, as a mask, and
-    skips U + [x] when some image of it is lex-smaller, before any closure
-    (orderly generation: Read, "Every one a winner", 1978).  Two sets of one
-    size compare as their ascending id tuples do: the smaller holds the lowest
-    id in which they differ.  These masks put id 0 in the highest bit, so the
-    lex-smaller set is the larger int.  Removing the largest element of a
-    lex-min set leaves a lex-min set, so every lex-min independent set is
-    still reached, and only those.  Conjugations preserve independence and
-    generation, so the lex-first largest independent set, and the lex-first
-    largest generating one, are lex-min in their orbits and the walk's
-    witnesses are unchanged.  With no conjugations this is the plain lex walk
-    over all independent subsets.
+    It skips U + [x] when some image of it under a conjugation is lex-smaller,
+    before any closure (orderly generation: Read, "Every one a winner", 1978).
+    Two sets of one size compare as their ascending id tuples do: the smaller
+    holds the lowest id in which they differ.  A reversed mask puts id 0 in
+    the highest of its N bits, so the lex-smaller set is the larger int.
+    Removing the largest element of a lex-min set leaves a lex-min set, so
+    every lex-min independent set is still reached, and only those.
+    Conjugations preserve independence and generation, so the lex-first
+    largest independent set, and the lex-first largest generating one, are
+    lex-min in their orbits and the walk's witnesses are unchanged.  With no
+    conjugations this is the plain lex walk over all independent subsets.
+
+    All P conjugations are tested at once on packed ints of P fields of
+    W = N + 1 bits: field k holds bits [k*W, k*W + N) and its guard is bit
+    k*W + N (Lamport, "Multiple byte processing with full-word instructions",
+    1975).  The node carries margins, whose field k is 2^N + G - M_k, where
+    G is U's reversed mask and M_k that of p_k(U); for the empty U at the
+    root, margins is guards.  x is not in U, nor p_k(x) in p_k(U) as p_k is
+    a bijection, so adding x adds 2^(last - x) to G and 2^(last - p_k(x)) to
+    M_k, which deltas[x] holds for every k at once.  U + [x] is lex-min iff
+    G' >= M'_k for every k, and both are below 2^N, so each field of
+    margins + deltas[x] is 2^N + G' - M'_k, between 0 and 2^W: no carry or
+    borrow crosses a field, and field k keeps its guard iff M'_k <= G'.  So
+    one addition and one AND test every conjugation, and a kept node's
+    margins have every guard set, as the root's do.  With no conjugations
+    guards is 0 and every candidate passes.
     """
     perms = s.conjugations
     last = len(s.product) - 1
-    images = [[1 << last - p[x] for p in perms] for x in range(last + 1)]
-    yield from _branch(s, images, [], [], 0, 0, [0] * len(perms))
+    width = last + 2
+    size = (len(perms) * width + 7) // 8  # bytes of a packed int
+    ones = _packed(size, range(0, len(perms) * width, width))  # bit 0 of every field
+    deltas = [
+        (ones << last - x) - _packed(size, [k * width + last - p[x] for k, p in enumerate(perms)])
+        for x in range(last + 1)
+    ]
+    guards = ones << last + 1
+    yield from _branch(s, deltas, guards, [], [], 0, guards)
 
 
-def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
-            whole: int, rev: int, conj: list[int]):
+def _packed(size: int, bits) -> int:
+    """The int with the given bits set, built in one pass over size bytes."""
+    buf = bytearray(size)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _branch(s: _Search, deltas: list[int], guards: int, u: list[int],
+            minus: list[int], whole: int, margins: int):
     # module level, not nested in _independent_sets: a nested recursive
     # function is a reference cycle, which would keep the memo alive past
-    # the walk until the cyclic collector ran.  rev is u as a mask with id 0
-    # the highest bit, conj its images under the conjugations and images[x]
-    # the bits of the images of x.
+    # the walk until the cyclic collector ran.  deltas, guards and margins
+    # are described at _independent_sets.
     yield tuple(u), whole
     product, tick = s.product, s.clock.tick
-    last = len(product) - 1
     for x in range(u[-1] + 1 if u else 0, len(product)):
         tick()
         if whole >> x & 1:
             continue  # x is already generated by u
-        grown = rev | 1 << last - x
-        moved = list(map(int.__or__, conj, images[x]))
-        if max(moved, default=0) <= grown:  # no image of u + [x] is lex-smaller
+        grown = margins + deltas[x]
+        if grown & guards == guards:  # no image of u + [x] is lex-smaller
             ext = []
             for i, a in enumerate(u):
                 cl = s.adjoin(u[:i] + u[i + 1:], minus[i], x)
@@ -203,8 +229,8 @@ def _branch(s: _Search, images: list[list[int]], u: list[int], minus: list[int],
             else:
                 ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
                 yield from _branch(
-                    s, images, u + [x], ext,
-                    s.adjoin(u, whole, x), grown, moved,
+                    s, deltas, guards, u + [x], ext,
+                    s.adjoin(u, whole, x), grown,
                 )
 
 

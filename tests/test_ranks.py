@@ -614,11 +614,17 @@ def conjugations_by_definition(table):
 
 
 def test_independent_set_enumeration_matches_definition(monoids):
-    from sgranks.ranks import _independent_sets, _Search, _walk
+    from sgranks.ranks import _independent_sets, _Search
 
     plain = Budget(seconds=None, max_nodes=10**9)  # a node budget walks the plain tree
-    for n in (2, 3):
-        table = monoids[n].table
+    s3 = monoids[3].aut_subtable()
+    # End(B_3) shuffled puts the images at other bit positions of each field,
+    # and its id 0, unlike the others', is moved by some conjugation
+    moved = shuffled(monoids[3].table, 1)
+    assert any(p[0] != 0 for p in conjugations_by_definition(moved))
+    tables = [monoids[2].table, monoids[3].table, moved, s3,
+              symmetric_inverse_monoid(2), direct_product(s3, chain(2))]
+    for table in tables:
         flags = subset_flags(table)
         found = set()
         for ids, cl in _independent_sets(_Search(table, plain)):
@@ -631,17 +637,22 @@ def test_independent_set_enumeration_matches_definition(monoids):
         # the lex-min one
         perms = conjugations_by_definition(table)
         reps = {ids for ids in expected if all(tuple(sorted(p[a] for a in ids)) >= ids for p in perms)}
-        assert len(reps) < len(expected)
+        assert len(reps) < len(expected), table.product
         reduced = {ids for ids, _ in _independent_sets(_Search(table, None))}
-        assert reduced == reps
-    # the ticks of complete walks of End(B_2..4), reduced and plain, as README
-    # quotes them; perfbench's toy end5-walk needs End(B_3)'s plain walk to
-    # pass its 100-node budget
-    for n, reduced_ticks, plain_ticks in ((2, 20, 23), (3, 79, 208), (4, 847, 9411)):
-        for budget, ticks in ((None, reduced_ticks), (plain, plain_ticks)):
-            s = _Search(monoids[n].table, budget)
-            assert _walk(s)[0].exact
-            assert s.clock.nodes == ticks, (n, budget)
+        assert reduced == reps, table.product
+    # the ticks and subsets of complete walks of End(B_2..5), reduced and
+    # plain, as README quotes them for n = 4, 5; perfbench's toy end5-walk
+    # needs End(B_3)'s plain walk to pass its 100-node budget.  A walk cut by
+    # its budget would raise here
+    ends = {n: monoids[n].table for n in (2, 3, 4)}
+    ends[5] = enumerate_endomorphisms_structural(5).table
+    walks = [(2, None, 20, 16), (2, plain, 23, 22), (3, None, 79, 42), (3, plain, 208, 156),
+             (4, None, 847, 260), (4, plain, 9411, 4618),
+             (5, None, 22803, 3070)]  # End(B_5)'s plain walk takes 1.46M ticks
+    for n, budget, ticks, subsets in walks:
+        s = _Search(ends[n], budget)
+        assert sum(1 for _ in _independent_sets(s)) == subsets, (n, budget)
+        assert s.clock.nodes == ticks, (n, budget)
 
 
 def test_conjugations_are_distinct_automorphisms(monoids):
