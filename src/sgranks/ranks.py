@@ -86,13 +86,22 @@ class _Search:
     """What the searches of one table share, all freed with it: the product,
     the full mask, the clock (one with no limits when there is no budget), the
     closure memo and, each computed on first use, the identity, the group of
-    units and its conjugations.
+    units, the right zeros and the conjugations.
 
-    memo[x][mask] is <mask + {x}> for a closed mask; every adjoin of r2 and
-    the walk goes through adjoin(), and the memo is emptied when it would
-    pass _MEMO_ENTRIES entries.  It changes no value, witness or tick: each
-    caller passes mask = <gens>, so the result is <mask + {x}>, fixed by
-    (mask, x) alone.
+    memo[x][mask] is <mask + {x}> for a closed mask.  r2 adjoins through
+    adjoin(); the walk reads a hit from the memo itself and calls adjoin()
+    only on a miss, so adjoin() is the memo's one writer, and it empties the
+    memo when it would pass _MEMO_ENTRIES entries.  The memo changes no
+    value, witness or tick: each caller passes mask = <gens>, so the result
+    is <mask + {x}>, fixed by (mask, x) alone.
+
+    A miss hands core._adjoin the units and right zeros, for its two exact
+    shortcuts.  A right zero z seeds only itself, as s*z = z for every s,
+    with no assumption on the table.  A unit x joined to a nonempty closed
+    set K of units gives a group, grown by whole cosets r*K: their union is
+    closed under left multiplication by every generator once it holds g*r
+    for each generator g and representative r, as g*(r*K) = (g*r)*K, which
+    rests on associativity, as every search here does.
     """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
@@ -112,7 +121,9 @@ class _Search:
                     kept.clear()
                 self.room = _MEMO_ENTRIES
             self.room -= 1
-            cl = seen[mask] = core._adjoin(self.product, gens, mask, x, self.full)
+            cl = seen[mask] = core._adjoin(
+                self.product, gens, mask, x, self.full, self.units, self.right_zeros,
+            )
         return cl
 
     @cached_property
@@ -131,6 +142,14 @@ class _Search:
         return sum(1 << a for a, row in enumerate(self.product) if e in row)
 
     @cached_property
+    def right_zeros(self) -> int:
+        """The right zeros z, with s*z = z for every s, as a mask: the ids
+        whose column holds only themselves."""
+        return sum(
+            1 << z for z, col in enumerate(zip(*self.product)) if col.count(z) == len(col)
+        )
+
+    @cached_property
     def conjugations(self) -> list[tuple[int, ...]]:
         """The distinct non-identity maps x -> g*x*g^-1, g a unit, as id tuples.
 
@@ -140,12 +159,13 @@ class _Search:
         if self.clock.max_nodes is not None:
             return []
         product, e = self.product, self.identity
-        ids = range(len(product))
+        columns = list(zip(*product))
         perms = set()
         for g in core._iter_bits(self.units):
             h = product[g].index(e)  # g's inverse: gh = e only for h = g^-1
-            perms.add(tuple(product[product[g][x]][h] for x in ids))
-        perms.discard(tuple(ids))
+            # x -> (g*x)*h is g's row read through h's column
+            perms.add(core._pick(product[g], columns[h]))
+        perms.discard(tuple(range(len(product))))
         return sorted(perms)
 
 
@@ -213,25 +233,30 @@ def _branch(s: _Search, deltas: list[int], guards: int, u: list[int],
     # the walk until the cyclic collector ran.  deltas, guards and margins
     # are described at _independent_sets.
     yield tuple(u), whole
-    product, tick = s.product, s.clock.tick
+    # a memo hit is one dict lookup; only a miss calls s.adjoin, which
+    # stores the closure
+    product, tick, memo, adjoin = s.product, s.clock.tick, s.memo, s.adjoin
     for x in range(u[-1] + 1 if u else 0, len(product)):
         tick()
         if whole >> x & 1:
             continue  # x is already generated by u
         grown = margins + deltas[x]
         if grown & guards == guards:  # no image of u + [x] is lex-smaller
+            seen = memo[x]
             ext = []
             for i, a in enumerate(u):
-                cl = s.adjoin(u[:i] + u[i + 1:], minus[i], x)
+                cl = seen.get(minus[i])
+                if cl is None:
+                    cl = adjoin(u[:i] + u[i + 1:], minus[i], x)
                 if cl >> a & 1:
                     break
                 ext.append(cl)
             else:
                 ext.append(whole)  # (u + [x]) minus x closes to exactly the old whole
-                yield from _branch(
-                    s, deltas, guards, u + [x], ext,
-                    s.adjoin(u, whole, x), grown,
-                )
+                cl = seen.get(whole)
+                if cl is None:
+                    cl = adjoin(u, whole, x)
+                yield from _branch(s, deltas, guards, u + [x], ext, cl, grown)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from sgranks.core import (
     validate,
 )
 from sgranks.endo import enumerate_endomorphisms_structural
+from sgranks.ranks import _Search
 from sgranks.reference import subset_flags
 
 from _tablegen import (
@@ -27,8 +28,10 @@ from _tablegen import (
     first_violation,
     full_transformation_monoid,
     random_semigroup_pool,
+    relabel,
     special_tables,
     symmetric_inverse_monoid,
+    with_zero,
 )
 
 POOL = random_semigroup_pool()
@@ -361,16 +364,50 @@ def test_independence_hereditary_exhaustively_on_pool():
 
 
 def test_adjoin_gives_the_closure_with_x(monoids):
-    # on tables of 1 to 29 elements, adjoining any x to <gens> must give the
-    # closure of gens + [x] computed from scratch
-    tables = [cyclic_group(size) for size in (1, 2, 3, 5, 6, 24)] + [monoids[4].table]
+    # adjoining any x to <gens> gives the closure of gens + [x] computed from
+    # scratch, both with no masks, as validate calls it, and with the units
+    # and right zeros of a search context, which take _adjoin's shortcuts:
+    # groups grow coset by coset, and a right zero seeds only itself.
+    # End(B_3) relabelled spreads its units over the ids, and T_3 read the
+    # other way round has left zeros that are not right zeros, so a
+    # right-zero mask read on rows gives wrong closures
+    t3 = full_transformation_monoid(3)
+    perm = list(range(10))
+    random.Random(3).shuffle(perm)
+    tables = [cyclic_group(size) for size in (1, 2, 3, 5, 6, 24)] + [
+        monoids[4].aut_subtable(),
+        monoids[4].table,
+        relabel(monoids[3].table, perm),
+        t3,
+        SemigroupTable.from_rows(zip(*t3.product)),
+        symmetric_inverse_monoid(2),
+        with_zero(cyclic_group(3)),
+    ] + special_tables()
     rng = random.Random(20261018)
+    fired = {"cosets": 0, "right zero": 0}
     for table in tables:
         n = table.size
         full = (1 << n) - 1
+        s = _Search(table, None)
+        units, right_zeros = s.units, s.right_zeros
+        assert right_zeros == sum(
+            1 << z for z in range(n) if all(row[z] == z for row in table.product)
+        )
+        unit_ids = [a for a in range(n) if units >> a & 1]
         gen_sets = [[]] + [rng.sample(range(n), rng.randint(1, min(n, 3))) for _ in range(12)]
+        if unit_ids:
+            gen_sets += [rng.sample(unit_ids, rng.randint(1, min(len(unit_ids), 2)))
+                         for _ in range(12)]
         for gens in gen_sets:
             mask = sum(1 << a for a in closure(gens, table))
             for x in range(n):
+                if not mask >> x & 1:
+                    if right_zeros >> x & 1:
+                        fired["right zero"] += 1
+                    elif mask and units >> x & 1 and not mask & ~units:
+                        fired["cosets"] += 1
                 expected = sum(1 << a for a in closure(gens + [x], table))
                 assert _adjoin(table.product, gens, mask, x, full) == expected, (n, gens, x)
+                got = _adjoin(table.product, gens, mask, x, full, units, right_zeros)
+                assert got == expected, (table.product, gens, x)
+    assert all(fired.values()), fired

@@ -475,6 +475,17 @@ def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
     assert sum(b < a for a, b in zip(held, held[1:])) > 10
 
 
+def test_complete_walks_leave_pinned_memo_entries(monoids):
+    # the walk reads a memo hit inline and stores only through adjoin, so a
+    # complete walk leaves one entry per distinct (mask, x) pair it met
+    end5 = enumerate_endomorphisms_structural(5)
+    for table, entries in [(monoids[4].table, 265), (monoids[4].aut_subtable(), 78),
+                           (end5.table, 2819), (end5.aut_subtable(), 1974)]:
+        s = ranks._Search(table, None)
+        assert ranks._walk(s)[0].exact
+        assert sum(map(len, s.memo)) == entries, table.size
+
+
 def test_rank_report_which_filter(monoids):
     report = rank_report(monoids[2].table, which=["r1", "r5"], n=2)
     assert set(report.ranks) == {"r1", "r5"}
