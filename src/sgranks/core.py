@@ -202,8 +202,10 @@ def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int,
     - x a right zero: every seed s*x is x itself, so the loop over the
       members of mask is skipped.  This assumes nothing of the table.
     - mask a nonempty set of units and x a unit: <mask + {x}> is a group,
-      grown coset by coset by _cosets, which assumes associativity, as the
-      searches do.
+      grown coset by coset by _cosets.  The union of the cosets r*mask is
+      closed under left multiplication by every generator g once it holds
+      each g*r, as g*(r*mask) = (g*r)*mask; this assumes associativity, as
+      the searches do.
     """
     if mask >> x & 1:
         return mask
