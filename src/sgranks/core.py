@@ -212,7 +212,7 @@ def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int,
     if right_zeros >> x & 1:
         return _grow(product, gens + [x], mask | 1 << x, [x], full_mask)
     if mask and units >> x & 1 and not mask & ~units:
-        return _cosets(product, gens + [x], mask, x)
+        return _cosets(product, gens + [x], mask, x, units)
     grown = mask | 1 << x
     frontier = [x]
     while mask:  # the bits of mask, inlined: this is the walk's innermost call
@@ -226,9 +226,10 @@ def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int,
     return _grow(product, gens + [x], grown, frontier, full_mask)
 
 
-def _cosets(product, gens: list[int], group: int, x: int) -> int:
+def _cosets(product, gens: list[int], group: int, x: int, units: int) -> int:
     """<group + {x}> as a mask, where group is a closed nonempty set of
-    units, x a unit outside it, and gens generate the group, with x last.
+    units, x a unit outside it, gens generate the group, with x last, and
+    units is the group of units G.
 
     group is a subgroup K of the finite group of units, so <K + {x}> is a
     group H and a union of left cosets r*K (Dimino's algorithm; Butler,
@@ -239,12 +240,21 @@ def _cosets(product, gens: list[int], group: int, x: int) -> int:
     closed under left multiplication by every generator of H, so it holds
     every product of them, and it is H.  K itself needs no test, as g*K = K
     for g in K, and x*K is the first coset added.
+
+    H is a subgroup of G, so by Lagrange |H| divides |G|, and H is G once
+    it holds more than |G|/2 elements: once the 1 + len(reps) cosets held
+    number more than most = |G| // (2|K|).  Then units is returned at once.
+    At exactly |G|/2 elements, as for A_4 in S_4, H may be proper, and the
+    growth goes on.
     """
     members = list(_iter_bits(group))
+    most = units.bit_count() // (2 * len(members))
     row = product[x]
     for k in members:
         group |= 1 << row[k]
     reps = [x]
+    if len(reps) >= most:
+        return units
     for r in reps:  # the loop also visits the representatives appended below
         for g in gens:
             c = product[g][r]
@@ -253,6 +263,8 @@ def _cosets(product, gens: list[int], group: int, x: int) -> int:
                 for k in members:
                     group |= 1 << row[k]
                 reps.append(c)
+                if len(reps) >= most:
+                    return units
     return group
 
 
@@ -372,8 +384,31 @@ def format_table_text(table: SemigroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _out_of_range(i: int, parts: list[str], ids: dict[str, int]) -> tuple[int, ...]:
+    """Row i, whose tokens are not all ids, as ints for SemigroupTable to
+    reject as out of range.
+
+    A token that is neither an id nor an integer in the plain decimal that
+    format_table_text writes ("00", "+1", "0_1", "1.0") raises, naming it.
+    """
+    for t in parts:
+        if t not in ids:
+            try:
+                canonical = str(int(t)) == t
+            except ValueError:
+                canonical = False
+            if not canonical:
+                raise ValueError(f"row {i} has entry {t!r}, which is not an element id")
+    return tuple(map(int, parts))
+
+
 def parse_table_text(text: str) -> SemigroupTable:
-    """Parse the output of format_table_text; accepts LF or CRLF and trailing blank lines."""
+    """Parse the output of format_table_text; accepts LF or CRLF and trailing blank lines.
+
+    Entries are element ids in plain decimal, as format_table_text writes
+    them.  An integer outside 0..N-1 gets SemigroupTable's out-of-range
+    message; any other spelling is refused with the row and the token.
+    """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -398,12 +433,7 @@ def parse_table_text(text: str) -> SemigroupTable:
         try:
             rows.append(_pick(parts, ids))
         except KeyError:
-            # a token spelt other than format_table_text writes it ("00", "+1")
-            # or out of range: int() gives the same values and errors as always
-            try:
-                rows.append(tuple(map(int, parts)))
-            except ValueError:
-                raise ValueError(f"row {i} contains a non-integer entry") from None
+            rows.append(_out_of_range(i, parts, ids))
     labels = None
     if len(lines) > n + 1:
         if len(lines) > n + 2:

@@ -22,6 +22,16 @@ at the group of units, wherever its ids lie (see lower_rank), with the same
 result as one search over all ids.  The r3/r4 walk skips every subset that is
 not lex-min in its orbit under the conjugations by units, with the same
 result as the plain walk (see _independent_sets).
+
+The walk also splits at the right zeros K, the z with s*z = z for every s,
+when the other ids are exactly the group of units G and lie below K's, as
+in End(B_n) as built: n! automorphisms, then n + 1 constants.  K is then an
+ideal, so <A + C> = <A> + C*<A>^1 for A in G and C in K.  So the walk runs
+over G alone, and r4 is the largest |A| + (orbits of <A> on K) over the
+independent A, r3 the same over those that generate G.  Every unit id being
+below K's, a lex-first optimum's A is lex-min in its orbit, so the
+witnesses are those of the walk over all ids.  Other id layouts, every
+other table and node-budgeted walks walk all ids (see _walk).
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ RANK_KEYS = ("r1", "r2", "r3", "r4", "r5")
 DEFAULT_BUDGET_SECONDS = 60.0
 
 # the most entries a closure memo holds: r2 on a left-zero band of 24 meets 2^24
-# distinct (mask, x) pairs, End(B_6)'s whole report only 105,445
+# distinct (mask, x) pairs, End(B_6)'s whole report only 97,832
 _MEMO_ENTRIES = 1 << 17
 
 
@@ -169,9 +179,10 @@ class _Search:
         return sorted(perms)
 
 
-def _independent_sets(s: _Search):
-    """Yield (ids, closure_mask) for every independent subset that is lex-min
-    in its orbit under s.conjugations, in lex order.
+def _independent_sets(s: _Search, stop: int | None = None):
+    """Yield (ids, closure_mask) for every independent subset of the ids
+    below stop (all ids by default) that is lex-min in its orbit under
+    s.conjugations, in lex order.
 
     Carries the closure of the current subset U and, for each a in U, the
     closure of U - {a}; the generators behind each closure are U or U - {a}, so
@@ -207,12 +218,13 @@ def _independent_sets(s: _Search):
     """
     perms = s.conjugations
     last = len(s.product) - 1
+    stop = last + 1 if stop is None else stop
     width = last + 2
     size = (len(perms) * width + 7) // 8  # bytes of a packed int
     ones = _packed(size, range(0, len(perms) * width, width))  # bit 0 of every field
     deltas = [
         (ones << last - x) - _packed(size, [k * width + last - p[x] for k, p in enumerate(perms)])
-        for x in range(last + 1)
+        for x in range(stop)
     ]
     guards = ones << last + 1
     yield from _branch(s, deltas, guards, [], [], 0, guards)
@@ -231,12 +243,13 @@ def _branch(s: _Search, deltas: list[int], guards: int, u: list[int],
     # module level, not nested in _independent_sets: a nested recursive
     # function is a reference cycle, which would keep the memo alive past
     # the walk until the cyclic collector ran.  deltas, guards and margins
-    # are described at _independent_sets.
+    # are described at _independent_sets; deltas holds one int per id the
+    # walk may try, so len(deltas) bounds the ids tried.
     yield tuple(u), whole
     # a memo hit is one dict lookup; only a miss calls s.adjoin, which
     # stores the closure
-    product, tick, memo, adjoin = s.product, s.clock.tick, s.memo, s.adjoin
-    for x in range(u[-1] + 1 if u else 0, len(product)):
+    tick, memo, adjoin = s.clock.tick, s.memo, s.adjoin
+    for x in range(u[-1] + 1 if u else 0, len(deltas)):
         tick()
         if whole >> x & 1:
             continue  # x is already generated by u
@@ -274,22 +287,92 @@ class SearchOutcome:
     method: str = "exhaustive"
 
 
-def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
-    """r4 and r3 from one walk of _independent_sets: (largest, largest generating).
+def _splits(s: _Search) -> bool:
+    """Whether the walk may split at the right zeros K (see _walk): the table
+    has an identity, K is nonempty, the other ids are exactly the group of
+    units G and lie below every id of K, and there is no node budget, which
+    walks the plain tree, as for the conjugations."""
+    units, zeros = s.units, s.right_zeros
+    return (
+        s.clock.max_nodes is None
+        and units != 0
+        and zeros != 0
+        and units ^ zeros == s.full  # G and K are disjoint and cover the table
+        and units & (units + 1) == 0  # the unit ids are 0..|G|-1
+    )
 
-    Only a strictly larger set replaces the one held, so each witness is the
-    lex-first at its size.  The walk runs to its end, and both outcomes are
-    exact, or to its budget, which leaves both inexact.
+
+def _candidates(s: _Search):
+    """Yield (ids, generates) for each candidate of the walk: an independent
+    set, and whether it generates the table.
+
+    Without the split these are the sets of _independent_sets.  With it the
+    walk runs over the unit ids alone, and each independent A yields A joined
+    with the lowest id of each orbit of <A> on K (see _walk).
     """
-    full = s.full
+    if not _splits(s):
+        full = s.full
+        for ids, cl in _independent_sets(s):
+            yield ids, cl == full
+        return
+    product, units, zeros = s.product, s.units, s.right_zeros
+    for ids, whole in _independent_sets(s, units.bit_length()):
+        gens, rest, lows = list(ids), zeros, []
+        while rest:
+            c = (rest & -rest).bit_length() - 1
+            lows.append(c)
+            # c's orbit c*<A>^1 is c closed under right products by A; it
+            # lies in K, so K serves as the full mask of the early exit
+            rest &= ~core._grow(product, gens, 1 << c, [c], zeros)
+        yield ids + tuple(lows), whole == units
+
+
+def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
+    """r4 and r3 from one walk: (largest independent, largest independent
+    generating).
+
+    Each outcome holds the lex-first candidate of the largest size: a
+    candidate replaces the one held when it is larger, or as large and a
+    smaller tuple.  The walk runs to its end, and both outcomes are exact,
+    or to its budget, which leaves both inexact.
+
+    The walk splits at the right zeros K, the z with s*z = z for every s,
+    when _splits(s) holds.  K is then an ideal, as t*(z*s) = (t*z)*s = z*s,
+    so in a product everything before the last factor from K is absorbed
+    by it: for A within the group of units G = S - K and C within K,
+    <A + C> = <A> + C*<A>^1.  <A> lies in G, and is a subgroup when A is
+    nonempty, so c*<A>^1 is c's orbit under the right action of <A> on K;
+    for A empty, <A>^1 = {e} and every orbit is a single id.  A member of A
+    lies in G, where C*<A - a>^1 adds nothing, and c lies outside <A>, so
+    A + C is independent iff A is and C holds at most one id of each orbit.
+    It generates iff <A> = G and C meets every orbit.  So r4 is the largest
+    |A| + (orbits of <A> on K) over the independent A, and r3 the same over
+    those with <A> = G.  For a given A the lex-first C takes the lowest id
+    of each orbit, as every other choice of one id per orbit is, sorted,
+    at least as large id by id.
+
+    Lex-first: a conjugation p by a unit maps G to G and K to K and keeps
+    independence and generation, so p(A + C) is an optimum when A + C is.
+    With every unit id below every id of K, the tuple of A + C is A's
+    followed by C's, so if p(A) were lex-smaller than A, p(A + C) would be
+    lex-smaller than A + C.  So a lex-first optimum's A is lex-min in its
+    orbit, the walk of the unit ids reaches it, and its candidate is that
+    optimum.  As candidates of one size come from A's of different sizes,
+    visit order alone does not decide, hence the explicit comparison.
+
+    Scope: End(B_n) as built, its n! automorphisms then its n + 1
+    constants, has this shape.  Other id layouts, such as End(B_n) with its
+    ids shuffled, every other table and every node-budgeted walk take the
+    walk over all ids.
+    """
     largest: tuple[int, ...] = ()
     generating: tuple[int, ...] = ()
     exact = True
     try:
-        for ids, cl in _independent_sets(s):
-            if len(ids) > len(largest):
+        for ids, generates in _candidates(s):
+            if _precedes(ids, largest):
                 largest = ids
-            if cl == full and len(ids) > len(generating):
+            if generates and _precedes(ids, generating):
                 generating = ids
     except _Exhausted:
         exact = False
@@ -301,6 +384,11 @@ def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
         SearchOutcome(len(largest), largest, exact, "pruned-search"),
         SearchOutcome(len(generating), generating, exact, "pruned-search"),
     )
+
+
+def _precedes(ids: tuple[int, ...], held: tuple[int, ...]) -> bool:
+    """ids is larger than held, or as large and lex-smaller."""
+    return len(ids) > len(held) or len(ids) == len(held) and ids < held
 
 
 def upper_rank(table: SemigroupTable, budget: Budget | None = None) -> SearchOutcome:

@@ -150,6 +150,18 @@ def test_ranks_round_trip_through_table_files(capsys, tmp_path):
         assert json.loads(out) == rank_report(build_brandt(k)).to_dict()
 
 
+def test_ranks_of_end_b5_read_back_from_text(capsys, tmp_path):
+    # End(B_5) written by endo and read back keeps its ids, so it takes the
+    # walk split at its constants and reports what --n 5 does, but n
+    path = tmp_path / "end5.tbl"
+    assert run(capsys, "endo", "--n", "5", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "ranks", "--table", str(path), "--json")
+    assert code == 0
+    code, direct, _ = run(capsys, "ranks", "--n", "5", "--json")
+    assert code == 0
+    assert json.loads(out) == {**json.loads(direct), "n": None}
+
+
 def test_ranks_r1_of_a_large_band(capsys, tmp_path):
     # past the reference oracle's cap, r1 comes from the closed form
     path = tmp_path / "lz24.tbl"
@@ -278,3 +290,18 @@ def test_conjecture_json(capsys):
 def test_conjecture_rejects_n1(capsys):
     code, _, err = run(capsys, "conjecture", "--n", "1")
     assert code == 1 and "n >= 2" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("command", [["ranks", "--json"], ["verify"], ["conjecture", "--json"]])
+def test_stdout_matches_golden(capsys, command, n):
+    # stdout byte for byte as recorded in tests/golden, values, witnesses and
+    # layout alike, so that a change to the searches cannot alter an output
+    # unnoticed
+    code, out, _ = run(capsys, *command, "--n", str(n))
+    assert code == 0
+    expected = (GOLDEN / f"{command[0]}_n{n}.txt").read_text(encoding="utf-8")
+    assert out == expected

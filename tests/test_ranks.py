@@ -9,6 +9,7 @@ import pytest
 from sgranks import core, ranks
 from sgranks.core import (
     ResourceLimitError,
+    SemigroupTable,
     is_generating,
     is_independent,
     is_prime_subset,
@@ -477,10 +478,13 @@ def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
 
 def test_complete_walks_leave_pinned_memo_entries(monoids):
     # the walk reads a memo hit inline and stores only through adjoin, so a
-    # complete walk leaves one entry per distinct (mask, x) pair it met
+    # complete walk leaves one entry per distinct (mask, x) pair it met.
+    # End(B_n) splits at its constants and walks its units alone, so it
+    # leaves the entries of its unit group S_n: 78 and 1974, where the walk
+    # over all ids left 265 and 2819
     end5 = enumerate_endomorphisms_structural(5)
-    for table, entries in [(monoids[4].table, 265), (monoids[4].aut_subtable(), 78),
-                           (end5.table, 2819), (end5.aut_subtable(), 1974)]:
+    for table, entries in [(monoids[4].table, 78), (monoids[4].aut_subtable(), 78),
+                           (end5.table, 1974), (end5.aut_subtable(), 1974)]:
         s = ranks._Search(table, None)
         assert ranks._walk(s)[0].exact
         assert sum(map(len, s.memo)) == entries, table.size
@@ -710,6 +714,85 @@ def test_reduced_walk_matches_plain_walk(monoids, b_tables, random_tables, degen
         whole = _walk(_Search(table, None))
         assert whole == _walk(_Search(table, plain)), table.product
         assert whole[0].exact
+
+
+def test_split_walk_matches_plain_walk(monkeypatch, monoids):
+    # the walk split at the right zeros (no budget) against the plain walk (a
+    # node budget that is never reached) and, for End(B_5), whose plain walk
+    # takes 1.46M ticks, against the orbit-pruned walk over all ids
+    from sgranks.ranks import _Search, _splits, _walk
+
+    plain = Budget(seconds=None, max_nodes=10**9)
+    end5 = enumerate_endomorphisms_structural(5).table
+    tables = [m.table for m in monoids.values()] + [end5]
+    tables += [with_zero(cyclic_group(k)) for k in range(1, 5)]
+    tables += [with_zero(monoids[n].aut_subtable()) for n in (3, 4)]
+    # C_2^3 (g*h = g xor h) acting on two right zeros, which its element 4
+    # swaps: its largest candidates, (1, 2, 8, 9) and the later-visited
+    # (1, 2, 4, 8), tie in size, so the lex-first needs the explicit comparison
+    act = SemigroupTable.from_rows(
+        [[g ^ h for h in range(8)] + [8, 9] for g in range(8)]
+        + [[8 + (x ^ g >> 2) for g in range(8)] + [8, 9] for x in (0, 1)]
+    )
+    assert core.validate(act).ok
+    assert _walk(_Search(act, None))[0].witness == (1, 2, 4, 8)
+    tables.append(act)
+    split = {}
+    for table in tables:
+        s = _Search(table, None)
+        split[table] = _walk(s)
+        assert _splits(s) and split[table][0].exact, table.product
+        if table is not end5:
+            assert split[table] == _walk(_Search(table, plain)), table.product
+    monkeypatch.setattr(ranks, "_splits", lambda s: False)
+    assert split[end5] == _walk(_Search(end5, None))
+    monkeypatch.undo()
+    # a seeded relabelling of End(B_3) puts units above constants, and a node
+    # budget walks the plain tree: neither splits
+    moved = shuffled(monoids[3].table, 1)
+    assert not _splits(_Search(moved, None))
+    assert not _splits(_Search(monoids[3].table, plain))
+    assert _walk(_Search(moved, None)) == _walk(_Search(moved, plain))
+
+
+def test_split_walk_ticks_and_subsets(monoids):
+    # the split walks End(B_n)'s unit ids alone: the ticks and subsets of the
+    # walk of S_n, where the walk over all ids takes 847/260 and 22,803/3070
+    from sgranks.ranks import _candidates, _Search
+
+    end5 = enumerate_endomorphisms_structural(5).table
+    for table, ticks, subsets in [(monoids[4].table, 422, 31), (end5, 17365, 258)]:
+        s = _Search(table, None)
+        assert sum(1 for _ in _candidates(s)) == subsets
+        assert s.clock.nodes == ticks
+
+
+def test_cosets_match_the_closure_in_s4(monoids):
+    # every subgroup K of S_4, the units of End(B_4), and every unit x outside
+    # it: the coset growth, with its exit past |G|/2, gives <K + {x}>.  A_4
+    # holds exactly |G|/2 elements, where the exit must not fire
+    table = monoids[4].table
+    product, full = table.product, (1 << table.size) - 1
+    units = ranks._Search(table, None).units
+    assert units == (1 << 24) - 1
+    subgroups = {core._closure_mask(1 << a | 1 << b, product, full)
+                 for a in range(24) for b in range(24)}
+    grown = True
+    while grown:
+        joins = {core._closure_mask(k | 1 << x, product, full) for k in subgroups for x in range(24)}
+        grown = not joins <= subgroups
+        subgroups |= joins
+    assert len(subgroups) == 30
+    sizes = set()
+    for k in subgroups:
+        gens = list(core._iter_bits(k))
+        for x in range(24):
+            if not k >> x & 1:
+                got = core._cosets(product, gens + [x], k, x, units)
+                expected = core._grow(product, gens + [x], k | 1 << x, gens + [x], full)
+                assert got == expected, (gens, x)
+                sizes.add(got.bit_count())
+    assert sizes == {2, 3, 4, 6, 8, 12, 24}
 
 
 def test_chain_holds_on_every_report(monoids, b_tables, random_tables):
