@@ -384,40 +384,42 @@ def format_table_text(table: SemigroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(t: str) -> int | None:
+    """t as an int when it is one in the plain decimal that format_table_text
+    writes, else None: "00", "+1", "0_1", "1.0" and non-ASCII digits are not."""
+    try:
+        v = int(t)
+    except ValueError:
+        return None
+    return v if str(v) == t else None
+
+
 def _out_of_range(i: int, parts: list[str], ids: dict[str, int]) -> tuple[int, ...]:
     """Row i, whose tokens are not all ids, as ints for SemigroupTable to
-    reject as out of range.
-
-    A token that is neither an id nor an integer in the plain decimal that
-    format_table_text writes ("00", "+1", "0_1", "1.0") raises, naming it.
-    """
+    reject as out of range; a token that is not in plain decimal raises,
+    naming it."""
     for t in parts:
-        if t not in ids:
-            try:
-                canonical = str(int(t)) == t
-            except ValueError:
-                canonical = False
-            if not canonical:
-                raise ValueError(f"row {i} has entry {t!r}, which is not an element id")
+        if t not in ids and _decimal(t) is None:
+            raise ValueError(f"row {i} has entry {t!r}, which is not an element id")
     return tuple(map(int, parts))
 
 
 def parse_table_text(text: str) -> SemigroupTable:
     """Parse the output of format_table_text; accepts LF or CRLF and trailing blank lines.
 
-    Entries are element ids in plain decimal, as format_table_text writes
-    them.  An integer outside 0..N-1 gets SemigroupTable's out-of-range
-    message; any other spelling is refused with the row and the token.
+    The count and the entries are integers in plain decimal, as
+    format_table_text writes them; any other spelling is refused, an
+    entry's with its row and token.  An entry outside 0..N-1 gets
+    SemigroupTable's out-of-range message.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise ValueError("empty table text")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ValueError(f"first line must be the element count, got {lines[0]!r}") from None
+    n = _decimal(lines[0].strip())
+    if n is None:
+        raise ValueError(f"first line must be the element count, got {lines[0]!r}")
     if n < 1:
         raise ValueError(f"element count must be positive, got {n}")
     if len(lines) < n + 1:

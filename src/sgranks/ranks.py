@@ -24,14 +24,14 @@ not lex-min in its orbit under the conjugations by units, with the same
 result as the plain walk (see _independent_sets).
 
 The walk also splits at the right zeros K, the z with s*z = z for every s,
-when the other ids are exactly the group of units G and lie below K's, as
-in End(B_n) as built: n! automorphisms, then n + 1 constants.  K is then an
-ideal, so <A + C> = <A> + C*<A>^1 for A in G and C in K.  So the walk runs
-over G alone, and r4 is the largest |A| + (orbits of <A> on K) over the
-independent A, r3 the same over those that generate G.  Every unit id being
-below K's, a lex-first optimum's A is lex-min in its orbit, so the
-witnesses are those of the walk over all ids.  Other id layouts, every
-other table and node-budgeted walks walk all ids (see _walk).
+on the tables that _splits names, such as End(B_n) as built: n!
+automorphisms, then n + 1 constants.  K is then an ideal, so
+<A + C> = <A> + C*<A>^1 for A in the group of units G and C in K.  So the
+walk runs over G alone, and r4 is the largest |A| + (orbits of <A> on K)
+over the independent A, r3 the same over those that generate G.  Every unit
+id being below K's, a lex-first optimum's A is lex-min in its orbit, so the
+witnesses are those of the walk over all ids.  On every other table K is
+empty, and the split is the walk over all ids (see _walk).
 """
 
 from __future__ import annotations
@@ -287,44 +287,49 @@ class SearchOutcome:
     method: str = "exhaustive"
 
 
-def _splits(s: _Search) -> bool:
-    """Whether the walk may split at the right zeros K (see _walk): the table
-    has an identity, K is nonempty, the other ids are exactly the group of
-    units G and lie below every id of K, and there is no node budget, which
-    walks the plain tree, as for the conjugations."""
+def _splits(s: _Search) -> int:
+    """The mask K of right zeros the walk splits at (see _walk), or 0 for
+    the walk over all ids.
+
+    This is the split's one statement of scope.  K is the right zeros when
+    the other ids are exactly the group of units G and are 0..|G|-1, and
+    there is no node budget, which walks the plain tree, as for the
+    conjugations.  End(B_n) as built, its n! automorphisms then its n + 1
+    constants, splits at its constants; a right-zero band, with no units,
+    at all its ids, so that A = () is the one set walked.  Other id
+    layouts, such as End(B_n) with its ids shuffled, every other table and
+    every node-budgeted walk get 0: the split with K empty is the walk over
+    all ids.
+    """
     units, zeros = s.units, s.right_zeros
-    return (
+    if (
         s.clock.max_nodes is None
-        and units != 0
-        and zeros != 0
         and units ^ zeros == s.full  # G and K are disjoint and cover the table
         and units & (units + 1) == 0  # the unit ids are 0..|G|-1
-    )
+    ):
+        return zeros
+    return 0
 
 
 def _candidates(s: _Search):
     """Yield (ids, generates) for each candidate of the walk: an independent
     set, and whether it generates the table.
 
-    Without the split these are the sets of _independent_sets.  With it the
-    walk runs over the unit ids alone, and each independent A yields A joined
-    with the lowest id of each orbit of <A> on K (see _walk).
+    The walk runs over the ids outside K = _splits(s), and each independent
+    A yields A joined with the lowest id of each orbit of <A> on K (see
+    _walk).  With K empty these are the sets of _independent_sets.
     """
-    if not _splits(s):
-        full = s.full
-        for ids, cl in _independent_sets(s):
-            yield ids, cl == full
-        return
-    product, units, zeros = s.product, s.units, s.right_zeros
-    for ids, whole in _independent_sets(s, units.bit_length()):
-        gens, rest, lows = list(ids), zeros, []
+    product, zeros = s.product, _splits(s)
+    walked = s.full ^ zeros
+    for ids, whole in _independent_sets(s, walked.bit_length()):
+        rest, lows = zeros, []
         while rest:
             c = (rest & -rest).bit_length() - 1
             lows.append(c)
             # c's orbit c*<A>^1 is c closed under right products by A; it
             # lies in K, so K serves as the full mask of the early exit
-            rest &= ~core._grow(product, gens, 1 << c, [c], zeros)
-        yield ids + tuple(lows), whole == units
+            rest &= ~core._grow(product, ids, 1 << c, [c], zeros)
+        yield ids + tuple(lows), whole == walked
 
 
 def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
@@ -336,8 +341,8 @@ def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
     smaller tuple.  The walk runs to its end, and both outcomes are exact,
     or to its budget, which leaves both inexact.
 
-    The walk splits at the right zeros K, the z with s*z = z for every s,
-    when _splits(s) holds.  K is then an ideal, as t*(z*s) = (t*z)*s = z*s,
+    The walk splits at K = _splits(s): the right zeros, the z with s*z = z
+    for every s, or no ids.  A nonempty K is an ideal, as t*(z*s) = (t*z)*s = z*s,
     so in a product everything before the last factor from K is absorbed
     by it: for A within the group of units G = S - K and C within K,
     <A + C> = <A> + C*<A>^1.  <A> lies in G, and is a subgroup when A is
@@ -360,10 +365,8 @@ def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
     optimum.  As candidates of one size come from A's of different sizes,
     visit order alone does not decide, hence the explicit comparison.
 
-    Scope: End(B_n) as built, its n! automorphisms then its n + 1
-    constants, has this shape.  Other id layouts, such as End(B_n) with its
-    ids shuffled, every other table and every node-budgeted walk take the
-    walk over all ids.
+    Scope: the tables _splits names.  With K empty, C is empty and A runs
+    over every independent set: the walk over all ids.
     """
     largest: tuple[int, ...] = ()
     generating: tuple[int, ...] = ()

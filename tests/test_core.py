@@ -238,6 +238,12 @@ def test_text_format_rejects_respelled_tokens():
             parse_table_text(f"3\n{row}\n1 2 0\n2 0 1\n")
     with pytest.raises(ValueError, match=r"^row 1 has entry '000', which is not an element id$"):
         parse_table_text("1\n000\n")
+    # the element count follows the same rule
+    for count in ["+2", "02", "0_2", "\u0662"]:
+        message = rf"^first line must be the element count, got {re.escape(repr(count))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_table_text(f"{count}\n0 1\n1 0\n")
+    assert parse_table_text(" 2 \n0 1\n1 0\n").size == 2
 
 
 def test_text_format_error_messages():

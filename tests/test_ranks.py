@@ -737,6 +737,13 @@ def test_split_walk_matches_plain_walk(monkeypatch, monoids):
     assert core.validate(act).ok
     assert _walk(_Search(act, None))[0].witness == (1, 2, 4, 8)
     tables.append(act)
+    # a right-zero band (a*b = b) has no units and splits at all its ids, so
+    # that the walk visits A = () alone; relabelled, it is the same table
+    for k in range(2, 7):
+        band = SemigroupTable.from_rows([list(range(k))] * k)
+        assert shuffled(band, k) == band
+        assert _splits(_Search(band, None)) == (1 << k) - 1
+        tables.append(band)
     split = {}
     for table in tables:
         s = _Search(table, None)
@@ -753,6 +760,16 @@ def test_split_walk_matches_plain_walk(monkeypatch, monoids):
     assert not _splits(_Search(moved, None))
     assert not _splits(_Search(monoids[3].table, plain))
     assert _walk(_Search(moved, None)) == _walk(_Search(moved, plain))
+    # a group has no right zeros, so K is empty and the walk takes all ids
+    for group in (cyclic_group(6), monoids[4].aut_subtable()):
+        assert _splits(_Search(group, None)) == 0
+    # a 24-element right-zero band ends without a tick, where the walk over
+    # all its ids would take 2^24 and be cut by the budget
+    band = SemigroupTable.from_rows([list(range(24))] * 24)
+    s = _Search(band, Budget(seconds=1))
+    r4, r3 = _walk(s)
+    assert r4 == r3 == SearchOutcome(24, tuple(range(24)), True, "pruned-search")
+    assert s.clock.nodes == 0
 
 
 def test_split_walk_ticks_and_subsets(monoids):
