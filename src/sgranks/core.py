@@ -186,8 +186,7 @@ def _grow(product, gens: list[int], mask: int, frontier: list[int], full_mask: i
     return mask
 
 
-def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int,
-            units: int = 0, right_zeros: int = 0) -> int:
+def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int) -> int:
     """<gens + [x]> as a mask, given that mask is <gens>.
 
     mask is closed under right multiplication by gens, so among its members
@@ -195,24 +194,7 @@ def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int,
     full_mask must hold <gens + [x]>, so the early exit at it fires only once
     the closure is reached.  The result is thus <mask + {x}>, fixed by
     (mask, x) alone, whichever generators of mask are given.
-
-    Two exact shortcuts read the masks units (the group of units) and
-    right_zeros (the z with s*z = z for every s); at their default 0 neither
-    fires:
-    - x a right zero: every seed s*x is x itself, so the loop over the
-      members of mask is skipped.  This assumes nothing of the table.
-    - mask a nonempty set of units and x a unit: <mask + {x}> is a group,
-      grown coset by coset by _cosets.  The union of the cosets r*mask is
-      closed under left multiplication by every generator g once it holds
-      each g*r, as g*(r*mask) = (g*r)*mask; this assumes associativity, as
-      the searches do.
     """
-    if mask >> x & 1:
-        return mask
-    if right_zeros >> x & 1:
-        return _grow(product, gens + [x], mask | 1 << x, [x], full_mask)
-    if mask and units >> x & 1 and not mask & ~units:
-        return _cosets(product, gens + [x], mask, x, units)
     grown = mask | 1 << x
     frontier = [x]
     while mask:  # the bits of mask, inlined: this is the walk's innermost call
@@ -236,7 +218,8 @@ def _cosets(product, gens: list[int], group: int, x: int, units: int) -> int:
     Fundamental Algorithms for Permutation Groups, 1991).  Each new
     representative r adds its whole coset: |K| lookups, each a new element,
     as r*K is disjoint from the cosets held when r is not in them.  Then
-    only g*r is tested for g in gens, since g*(r*K) = (g*r)*K: the union is
+    only g*r is tested for g in gens, since g*(r*K) = (g*r)*K by
+    associativity, which every search assumes: the union is
     closed under left multiplication by every generator of H, so it holds
     every product of them, and it is H.  K itself needs no test, as g*K = K
     for g in K, and x*K is the first coset added.

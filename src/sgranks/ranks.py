@@ -104,14 +104,6 @@ class _Search:
     memo when it would pass _MEMO_ENTRIES entries.  The memo changes no
     value, witness or tick: each caller passes mask = <gens>, so the result
     is <mask + {x}>, fixed by (mask, x) alone.
-
-    A miss hands core._adjoin the units and right zeros, for its two exact
-    shortcuts.  A right zero z seeds only itself, as s*z = z for every s,
-    with no assumption on the table.  A unit x joined to a nonempty closed
-    set K of units gives a group, grown by whole cosets r*K: their union is
-    closed under left multiplication by every generator once it holds g*r
-    for each generator g and representative r, as g*(r*K) = (g*r)*K, which
-    rests on associativity, as every search here does.
     """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
@@ -122,7 +114,9 @@ class _Search:
         self.room = _MEMO_ENTRIES  # entries the memo may still take
 
     def adjoin(self, gens: list[int], mask: int, x: int) -> int:
-        """<gens + [x]>, given mask = <gens>."""
+        """<gens + [x]>, given mask = <gens>: a unit x joined to a nonempty
+        closed set of units grows coset by coset (core._cosets), any other
+        x by core._adjoin."""
         seen = self.memo[x]
         cl = seen.get(mask)
         if cl is None:
@@ -131,9 +125,13 @@ class _Search:
                     kept.clear()
                 self.room = _MEMO_ENTRIES
             self.room -= 1
-            cl = seen[mask] = core._adjoin(
-                self.product, gens, mask, x, self.full, self.units, self.right_zeros,
-            )
+            if mask >> x & 1:  # first: _cosets would count x*K = K as a new coset
+                cl = mask
+            elif mask and not (mask | 1 << x) & ~self.units:
+                cl = core._cosets(self.product, gens + [x], mask, x, self.units)
+            else:
+                cl = core._adjoin(self.product, gens, mask, x, self.full)
+            seen[mask] = cl
         return cl
 
     @cached_property
@@ -186,7 +184,7 @@ def _independent_sets(s: _Search, stop: int | None = None):
 
     Carries the closure of the current subset U and, for each a in U, the
     closure of U - {a}; the generators behind each closure are U or U - {a}, so
-    extending by x updates each with core._adjoin, and a branch dies on the
+    extending by x updates each with s.adjoin, and a branch dies on the
     first extension that makes some element redundant.
 
     It skips U + [x] when some image of it under a conjugation is lex-smaller,

@@ -186,9 +186,9 @@ def _check_generating_sets_contain_constants(m: EndoMonoid, flags) -> CheckResul
             "generating-sets-contain-constants", SKIPPED,
             f"full subset enumeration capped at n <= 3, got n={m.n}",
         )
-    # masks over the ids: automorphisms first, then nonzero constants, zero last
+    # flags index the subsets by their masks over the ids
     z = m.zero_id
-    nonzero = (1 << z) - (1 << math.factorial(m.n))
+    nonzero = sum(1 << c for c in m.constant_ids) & ~(1 << z)
     generating = [mask for mask, gen in enumerate(flags.generating) if gen]
     return _result(
         "generating-sets-contain-constants",

@@ -76,10 +76,26 @@ def test_non_finite_budget_exits_one(capsys, command, budget):
     assert err.endswith(f"sgranks {command}: error: argument --budget: must be finite, got {budget}\n")
 
 
+def test_zero_budget_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ranks", "--n", "2", "--budget", "0"])
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    assert err.endswith("sgranks ranks: error: argument --budget: must be > 0, got 0.0\n")
+
+
 def test_endo_table_output(capsys, monoids):
     code, out, _ = run(capsys, "endo", "--n", "2")
     assert code == 0
     assert parse_table_text(out) == monoids[2].table
+
+
+def test_endo_json_prints_the_element_list(capsys, monoids):
+    code, out, err = run(capsys, "endo", "--n", "2", "--json")
+    assert code == 0
+    assert out == json.dumps(monoids[2].sidecar(), indent=2) + "\n"
+    assert [e["label"] for e in json.loads(out)["elements"]] == list(monoids[2].table.labels)
+    assert err == "|End(B_2)| = 5\n"
 
 
 def test_endo_oracle_flag(capsys, monoids):
@@ -285,6 +301,14 @@ def test_conjecture_json(capsys):
     assert data["verdict"] == "confirmed"
     assert data["computed_r4"] == 5
     assert data["witness"][0] == "phi_id"
+
+
+def test_conjecture_cut_by_the_wall_clock_is_inconclusive(capsys):
+    # the walk polls the wall clock first at tick 1024, so a budget of 1e-9 s
+    # cuts End(B_5)'s walk there, with no sleeps
+    code, out, _ = run(capsys, "conjecture", "--n", "5", "--budget", "1e-9")
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: inconclusive (budget exhausted; r4 >= 7)"
 
 
 def test_conjecture_rejects_n1(capsys):

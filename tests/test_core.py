@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgranks import core
 from sgranks.core import (
     SemigroupTable,
     _adjoin,
@@ -372,14 +373,13 @@ def test_independence_hereditary_exhaustively_on_pool():
                 assert all(flags[bits ^ (1 << a)] for a in subset)
 
 
-def test_adjoin_gives_the_closure_with_x(monoids):
+def test_adjoin_gives_the_closure_with_x(monoids, monkeypatch):
     # adjoining any x to <gens> gives the closure of gens + [x] computed from
-    # scratch, both with no masks, as validate calls it, and with the units
-    # and right zeros of a search context, which take _adjoin's shortcuts:
-    # groups grow coset by coset, and a right zero seeds only itself.
+    # scratch, both through the plain _adjoin, as validate calls it, and
+    # through a search context's adjoin, as the searches call it, where a
+    # unit joined to a nonempty closed set of units grows coset by coset.
     # End(B_3) relabelled spreads its units over the ids, and T_3 read the
-    # other way round has left zeros that are not right zeros, so a
-    # right-zero mask read on rows gives wrong closures
+    # other way round has left zeros that are not right zeros
     t3 = full_transformation_monoid(3)
     perm = list(range(10))
     random.Random(3).shuffle(perm)
@@ -393,13 +393,23 @@ def test_adjoin_gives_the_closure_with_x(monoids):
         with_zero(cyclic_group(3)),
     ] + special_tables()
     rng = random.Random(20261018)
-    fired = {"cosets": 0, "right zero": 0}
+    cosets = 0  # the calls the search contexts make to _cosets
+    real = core._cosets
+
+    def counted(product, gens, group, x, units):
+        nonlocal cosets
+        cosets += 1
+        # its precondition: a unit x outside a nonempty closed set of units
+        assert group and not group & ~units and units >> x & 1 and not group >> x & 1
+        return real(product, gens, group, x, units)
+
+    monkeypatch.setattr(core, "_cosets", counted)
     for table in tables:
         n = table.size
         full = (1 << n) - 1
         s = _Search(table, None)
-        units, right_zeros = s.units, s.right_zeros
-        assert right_zeros == sum(
+        units = s.units
+        assert s.right_zeros == sum(
             1 << z for z in range(n) if all(row[z] == z for row in table.product)
         )
         unit_ids = [a for a in range(n) if units >> a & 1]
@@ -410,13 +420,7 @@ def test_adjoin_gives_the_closure_with_x(monoids):
         for gens in gen_sets:
             mask = sum(1 << a for a in closure(gens, table))
             for x in range(n):
-                if not mask >> x & 1:
-                    if right_zeros >> x & 1:
-                        fired["right zero"] += 1
-                    elif mask and units >> x & 1 and not mask & ~units:
-                        fired["cosets"] += 1
                 expected = sum(1 << a for a in closure(gens + [x], table))
                 assert _adjoin(table.product, gens, mask, x, full) == expected, (n, gens, x)
-                got = _adjoin(table.product, gens, mask, x, full, units, right_zeros)
-                assert got == expected, (table.product, gens, x)
-    assert all(fired.values()), fired
+                assert s.adjoin(gens, mask, x) == expected, (table.product, gens, x)
+    assert cosets

@@ -381,6 +381,22 @@ def test_end_b5_walks_cut_at_1000_nodes():
     )
 
 
+def test_end_b5_walk_cut_by_the_wall_clock():
+    # a seconds budget is polled every 1024 ticks, so one already spent at
+    # the first poll cuts End(B_5)'s walk (17,365 ticks complete) at exactly
+    # that tick, with no sleeps; both outcomes are bounds that replay
+    m = enumerate_endomorphisms_structural(5)
+    s = ranks._Search(m.table, Budget(seconds=1e-9))
+    largest, generating = ranks._walk(s)
+    assert s.clock.nodes == 1024
+    assert not largest.exact and not generating.exact
+    assert 0 < largest.value == len(largest.witness) <= 7
+    assert 0 < generating.value == len(generating.witness) <= 6
+    assert is_independent(largest.witness, m.table)
+    assert is_independent(generating.witness, m.table)
+    assert is_generating(generating.witness, m.table)
+
+
 def test_search_tables_are_released(monkeypatch, monoids):
     # the closure memo of a search must be freed when it returns, cut or not,
     # and not be left in a reference cycle for the cyclic collector; a report

@@ -87,6 +87,20 @@ def test_symmetric_group_ranks_check_at_n5_and_n6():
     )
 
 
+def test_spent_seconds_budget_skips_both_walks():
+    # a seconds budget spent by the walks' first poll of the wall clock cuts
+    # End(B_5)'s r3 walk and S_5's r3/r4 walk: both checks are SKIPPED, and
+    # no check fails
+    results = by_name(verify.run_checks(5, Budget(seconds=1e-9)))
+    assert results["independent-generating-size"] == verify.CheckResult(
+        "independent-generating-size", verify.SKIPPED, "budget exhausted with best bound 6"
+    )
+    assert results["symmetric-group-ranks"] == verify.CheckResult(
+        "symmetric-group-ranks", verify.SKIPPED, "budget exhausted on the automorphism subtable"
+    )
+    assert not [r.name for r in results.values() if r.status == verify.FAIL]
+
+
 def product_statuses(m):
     checks = (verify._check_aut_products, verify._check_zero_products, verify._check_nonzero_constant_products)
     return {r.name: r.status for r in (check(m) for check in checks)}
