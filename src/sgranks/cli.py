@@ -50,6 +50,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _add_budget(parser: argparse.ArgumentParser, text: str) -> None:
+    parser.add_argument(
+        "--budget",
+        type=_positive_float,
+        default=ranks.DEFAULT_BUDGET_SECONDS,
+        help=f"{text} (default %(default)s)",
+    )
+
+
 @functools.cache  # the parser depends on no input, so main builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -77,35 +86,20 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--n", type=_positive_int, help="use End(B_n)")
     target.add_argument("--table", help="path to a Cayley-table text file")
     p_ranks.add_argument("--json", action="store_true")
-    p_ranks.add_argument(
-        "--budget",
-        type=_positive_float,
-        default=ranks.DEFAULT_BUDGET_SECONDS,
-        help="search budget in seconds for r3/r4 (default %(default)s)",
-    )
+    _add_budget(p_ranks, "search budget in seconds for r3/r4")
     p_ranks.add_argument("--which", help="comma-separated subset of r1,r2,r3,r4,r5")
     p_ranks.add_argument("--out", help="write the report here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="run the per-claim checklist for End(B_n)")
     p_verify.add_argument("--n", type=_positive_int, required=True)
-    p_verify.add_argument(
-        "--budget",
-        type=_positive_float,
-        default=ranks.DEFAULT_BUDGET_SECONDS,
-        help="search budget in seconds for the rank checks (default %(default)s)",
-    )
+    _add_budget(p_verify, "search budget in seconds for the rank checks")
 
     p_conj = sub.add_parser(
         "conjecture",
         help="search End(B_n) for an independent set larger than n + 2",
     )
     p_conj.add_argument("--n", type=_positive_int, required=True)
-    p_conj.add_argument(
-        "--budget",
-        type=_positive_float,
-        default=ranks.DEFAULT_BUDGET_SECONDS,
-        help="search budget in seconds (default %(default)s)",
-    )
+    _add_budget(p_conj, "search budget in seconds")
     p_conj.add_argument("--json", action="store_true")
 
     return parser

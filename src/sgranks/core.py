@@ -163,6 +163,15 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _hitters(product) -> list[list[tuple[int, int]]]:
+    """hitters[c] lists the pairs (a, b) with a*b = c, in row-major order."""
+    hitters = [[] for _ in product]
+    for a, row in enumerate(product):
+        for b, c in enumerate(row):
+            hitters[c].append((a, b))
+    return hitters
+
+
 def _grow(product, gens: list[int], mask: int, frontier: list[int], full_mask: int) -> int:
     """Close mask under right multiplication by gens, by worklist.
 
@@ -197,7 +206,11 @@ def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int) -> int:
     """
     grown = mask | 1 << x
     frontier = [x]
-    while mask:  # the bits of mask, inlined: this is the walk's innermost call
+    # the bits of mask, inlined, for the callers that pass a nonempty mask:
+    # validate, r2's second phase and the walks of tables that do not split.
+    # End(B_n)'s split walk comes here with mask empty only, as it grows
+    # every nonempty set of units by _cosets.
+    while mask:
         low = mask & -mask
         mask ^= low
         c = product[low.bit_length() - 1][x]
@@ -325,12 +338,8 @@ def restrict(table: SemigroupTable, subset: Iterable[int]) -> SemigroupTable:
     ids = sorted(set(subset))
     if not ids:
         raise ValueError("cannot restrict to the empty set")
-    n = table.size
-    index = {}
-    for a in ids:
-        if not 0 <= a < n:
-            raise ValueError(f"element id {a} out of range [0, {n})")
-        index[a] = len(index)
+    _mask_from_ids(ids, table.size)  # ascending, so an error names the lowest bad id
+    index = {a: i for i, a in enumerate(ids)}
     p = table.product
     for a in ids:
         for b in ids:

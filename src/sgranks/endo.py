@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .brandt import THETA, build_brandt, element_to_id, id_to_element
-from .core import ResourceLimitError, SemigroupTable, _pick, restrict
+from .core import ResourceLimitError, SemigroupTable, _hitters, _pick, restrict
 
 AUTOMORPHISM = "automorphism"
 ZERO_CONSTANT = "zero_constant"
@@ -371,10 +371,7 @@ def enumerate_endomorphisms_oracle(n: int) -> list[Endomorphism]:
     prod = _brandt_product(n)
     size = n * n + 1
 
-    hitters = [[] for _ in range(size)]
-    for x in range(size):
-        for y in range(size):
-            hitters[prod[x][y]].append((x, y))
+    hitters = _hitters(prod)
     idem = [e for e in range(size) if prod[e][e] == e]
 
     image = [0] * size

@@ -495,11 +495,7 @@ def smallest_prime_subset(table: SemigroupTable) -> frozenset[int]:
     at the end of the canonical element orders used here).
     """
     n = table.size
-    hitters = [[] for _ in range(n)]
-    for a in range(n):
-        row = table.product[a]
-        for b in range(n):
-            hitters[row[b]].append((a, b))
+    hitters = core._hitters(table.product)
     for k in range(1, n + 1):
         for combo in combinations(range(n - 1, -1, -1), k):
             chosen = set(combo)

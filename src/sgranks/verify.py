@@ -42,23 +42,24 @@ def _result(name: str, ok: bool, detail: str) -> CheckResult:
     return CheckResult(name, PASS if ok else FAIL, detail)
 
 
+def _with_constants(m: EndoMonoid, perms) -> tuple[int, ...]:
+    """The ids of the automorphisms induced by perms, of the constant onto
+    (1,1) and of the zero constant, each once, in ascending order."""
+    ids = {m.perm_id(sigma) for sigma in perms}
+    return tuple(sorted(ids | {m.constant_id(1), m.zero_id}))
+
+
 def generating_witness_ids(m: EndoMonoid) -> tuple[int, ...]:
     """The standard small generating set: the transposition (1 2), the full
     n-cycle, the constant onto (1,1) and the zero constant.  For n = 2 the
     transposition and the cycle coincide, so the set has 3 elements."""
-    n = m.n
-    ids = {m.perm_id(transposition(n, 1, 2)), m.perm_id(full_cycle(n))}
-    ids.update((m.constant_id(1), m.zero_id))
-    return tuple(sorted(ids))
+    return _with_constants(m, (transposition(m.n, 1, 2), full_cycle(m.n)))
 
 
 def independent_generating_witness_ids(m: EndoMonoid) -> tuple[int, ...]:
     """The standard size-(n+1) independent generating set: all adjacent
     transpositions plus the constant onto (1,1) and the zero constant."""
-    n = m.n
-    ids = {m.perm_id(transposition(n, i, i + 1)) for i in range(1, n)}
-    ids.update((m.constant_id(1), m.zero_id))
-    return tuple(sorted(ids))
+    return _with_constants(m, (transposition(m.n, i, i + 1) for i in range(1, m.n)))
 
 
 def max_independent_witness_ids(m: EndoMonoid) -> tuple[int, ...]:

@@ -58,6 +58,7 @@ def test_table_construction_rejects_bad_shapes():
 def test_validate_reports_first_violation_in_lex_order():
     report = validate(NOT_ASSOC)
     assert not report.ok
+    assert bool(report) is False and bool(validate(LEFT_ZERO_2)) is True
     # (0*0)*1 = 1*1 = 0 but 0*(0*1) = 0*0 = 1; nothing earlier fails
     assert report.violation == (0, 0, 1)
 
@@ -182,6 +183,9 @@ def test_restrict_requires_closed_subset():
         restrict(c4, [0, 1])
     with pytest.raises(ValueError):
         restrict(c4, [])
+    # the ids are checked in ascending order, so the lowest bad one is named
+    with pytest.raises(ValueError, match=r"^element id -1 out of range \[0, 4\)$"):
+        restrict(c4, [9, 2, -1, 4])
 
 
 def test_restrict_keeps_labels():

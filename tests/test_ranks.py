@@ -3,6 +3,7 @@ import math
 import random
 import weakref
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -614,6 +615,24 @@ def test_dependent_refutation_is_caught(monkeypatch, monoids):
     monkeypatch.setattr(ranks, "_walk", lambda s: (fake, fake))
     with pytest.raises(RuntimeError, match="refutation candidate failed re-verification"):
         verify_conjecture(2, monoid=monoids[2])
+
+
+def test_verify_conjecture_own_branches():
+    # stand-ins for the monoid, read through its n, table and constant_ids
+    # only: in a left-zero band every subset is closed, so all 5 ids are
+    # independent, n + 3 of them for n = 2
+    band = SimpleNamespace(n=2, table=left_zero_band(5), constant_ids=range(1, 4))
+    report = verify_conjecture(2, monoid=band)
+    assert report.verdict == "refuted-with-witness"
+    assert report.refutation == report.best_found == (0, 1, 2, 3, 4)
+    assert report.lower_bound == 5
+    assert report.computed_value is None
+    with pytest.raises(ValueError, match="monoid does not match n"):
+        verify_conjecture(3, monoid=band)
+    # in a null semigroup 0 = 1*1, so the identity-plus-constants ids are dependent
+    null = SimpleNamespace(n=2, table=null_semigroup(5), constant_ids=range(1, 4))
+    with pytest.raises(RuntimeError, match="engine fault"):
+        verify_conjecture(2, monoid=null)
 
 
 def test_verify_conjecture_budget_flag(monoids):

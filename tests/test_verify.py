@@ -87,6 +87,13 @@ def test_symmetric_group_ranks_check_at_n5_and_n6():
     )
 
 
+def test_automorphism_composition_check_skips_above_n5():
+    # n = 6 is skipped before any table is read
+    assert verify._check_aut_composition(SimpleNamespace(n=6)) == verify.CheckResult(
+        "automorphism-composition", verify.SKIPPED, "pairwise table check capped at n <= 5, got n=6"
+    )
+
+
 def test_spent_seconds_budget_skips_both_walks():
     # a seconds budget spent by the walks' first poll of the wall clock cuts
     # End(B_5)'s r3 walk and S_5's r3/r4 walk: both checks are SKIPPED, and
