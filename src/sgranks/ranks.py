@@ -31,7 +31,9 @@ walk runs over G alone, and r4 is the largest |A| + (orbits of <A> on K)
 over the independent A, r3 the same over those that generate G.  Every unit
 id being below K's, a lex-first optimum's A is lex-min in its orbit, so the
 witnesses are those of the walk over all ids.  On every other table K is
-empty, and the split is the walk over all ids (see _walk).
+empty, and the split is the walk over all ids (see _walk).  The split walk
+gives r3 and r4 of G too: the lex-first largest independent A, and the
+lex-first largest with <A> = G.
 """
 
 from __future__ import annotations
@@ -114,9 +116,16 @@ class _Search:
         self.room = _MEMO_ENTRIES  # entries the memo may still take
 
     def adjoin(self, gens: list[int], mask: int, x: int) -> int:
-        """<gens + [x]>, given mask = <gens>: a unit x joined to a nonempty
-        closed set of units grows coset by coset (core._cosets), any other
-        x by core._adjoin."""
+        """<gens + [x]>, given mask = <gens>: a right zero x seeds the growth
+        alone, a unit x joined to a nonempty closed set of units grows coset
+        by coset (core._cosets), any other x by core._adjoin.
+
+        A right zero x has s*x = x for every s, so of core._adjoin's seeds x
+        and s*x for s in mask only x is there, and core._grow from x alone
+        gives the same closure.  This serves the walks that do not split,
+        such as End(B_n)'s under a node budget, and r2's second phase, which
+        adjoins each constant of End(B_n) to the whole group of units.
+        """
         seen = self.memo[x]
         cl = seen.get(mask)
         if cl is None:
@@ -127,6 +136,8 @@ class _Search:
             self.room -= 1
             if mask >> x & 1:  # first: _cosets would count x*K = K as a new coset
                 cl = mask
+            elif self.right_zeros >> x & 1:
+                cl = core._grow(self.product, gens + [x], mask | 1 << x, [x], self.full)
             elif mask and not (mask | 1 << x) & ~self.units:
                 cl = core._cosets(self.product, gens + [x], mask, x, self.units)
             else:
@@ -152,10 +163,16 @@ class _Search:
     @cached_property
     def right_zeros(self) -> int:
         """The right zeros z, with s*z = z for every s, as a mask: the ids
-        whose column holds only themselves."""
-        return sum(
-            1 << z for z, col in enumerate(zip(*self.product)) if col.count(z) == len(col)
-        )
+        that every row maps to themselves.
+
+        The candidates are narrowed row by row, so past the first rows only
+        the few left are read, not every column: r2 alone reads them too,
+        for the right-zero seed of adjoin.
+        """
+        zeros = range(len(self.product))
+        for row in self.product:
+            zeros = [z for z in zeros if row[z] == z]
+        return sum(1 << z for z in zeros)
 
     @cached_property
     def conjugations(self) -> list[tuple[int, ...]]:
@@ -309,15 +326,17 @@ def _splits(s: _Search) -> int:
     return 0
 
 
-def _candidates(s: _Search):
-    """Yield (ids, generates) for each candidate of the walk: an independent
-    set, and whether it generates the table.
+def _candidates(s: _Search, zeros: int):
+    """Yield (A, C, generates) for each candidate A + C of the walk split
+    at zeros = _splits(s): an independent set, and whether it generates
+    the table.
 
-    The walk runs over the ids outside K = _splits(s), and each independent
-    A yields A joined with the lowest id of each orbit of <A> on K (see
-    _walk).  With K empty these are the sets of _independent_sets.
+    The walk runs over the ids outside K = zeros, and each independent A
+    comes with C, the lowest id of each orbit of <A> on K (see _walk); it
+    generates iff <A> is all the walked ids.  With K empty C is () and A
+    runs over the sets of _independent_sets.
     """
-    product, zeros = s.product, _splits(s)
+    product = s.product
     walked = s.full ^ zeros
     for ids, whole in _independent_sets(s, walked.bit_length()):
         rest, lows = zeros, []
@@ -327,17 +346,19 @@ def _candidates(s: _Search):
             # c's orbit c*<A>^1 is c closed under right products by A; it
             # lies in K, so K serves as the full mask of the early exit
             rest &= ~core._grow(product, ids, 1 << c, [c], zeros)
-        yield ids + tuple(lows), whole == walked
+        yield ids, tuple(lows), whole == walked
 
 
-def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
-    """r4 and r3 from one walk: (largest independent, largest independent
-    generating).
+def _walk(s: _Search) -> tuple[SearchOutcome | None, ...]:
+    """r4 and r3 from one walk, then r4 and r3 of the group of units G when
+    the walk splits: (largest independent, largest independent generating,
+    largest independent A, largest independent A with <A> = G), the last
+    two None when K below is empty.
 
     Each outcome holds the lex-first candidate of the largest size: a
     candidate replaces the one held when it is larger, or as large and a
-    smaller tuple.  The walk runs to its end, and both outcomes are exact,
-    or to its budget, which leaves both inexact.
+    smaller tuple.  The walk runs to its end, and every outcome is exact,
+    or to its budget, which leaves every outcome inexact.
 
     The walk splits at K = _splits(s): the right zeros, the z with s*z = z
     for every s, or no ids.  A nonempty K is an ideal, as t*(z*s) = (t*z)*s = z*s,
@@ -363,28 +384,48 @@ def _walk(s: _Search) -> tuple[SearchOutcome, SearchOutcome]:
     optimum.  As candidates of one size come from A's of different sizes,
     visit order alone does not decide, hence the explicit comparison.
 
+    The group's ranks: with K nonempty the walked ids are G, and a set of
+    units closes within G, so A is independent in G exactly when it is in
+    the table, and generates G exactly when <A> = G.  Conjugations by units
+    map G to G, so the lex-first largest independent A, and the lex-first
+    largest with <A> = G, are lex-min in their orbits and walked; they are
+    the r4 and r3 witnesses of G's own walk, in G's ids 0..|G|-1, those of
+    the table restricted to G.
+
     Scope: the tables _splits names.  With K empty, C is empty and A runs
     over every independent set: the walk over all ids.
     """
+    zeros = _splits(s)
     largest: tuple[int, ...] = ()
     generating: tuple[int, ...] = ()
+    unit_largest: tuple[int, ...] = ()
+    unit_generating: tuple[int, ...] = ()
     exact = True
     try:
-        for ids, generates in _candidates(s):
+        for a, c, generates in _candidates(s, zeros):
+            ids = a + c
             if _precedes(ids, largest):
                 largest = ids
-            if generates and _precedes(ids, generating):
-                generating = ids
+            if _precedes(a, unit_largest):
+                unit_largest = a
+            if generates:
+                if _precedes(ids, generating):
+                    generating = ids
+                if _precedes(a, unit_generating):
+                    unit_generating = a
     except _Exhausted:
         exact = False
     # cannot happen: a smallest generating set is independent, because
     # dropping a redundant member would leave a smaller one
     if exact and not generating:
         raise AssertionError("no independent generating set found by a complete search")
-    return (
-        SearchOutcome(len(largest), largest, exact, "pruned-search"),
-        SearchOutcome(len(generating), generating, exact, "pruned-search"),
-    )
+    found = [
+        SearchOutcome(len(ids), ids, exact, "pruned-search")
+        for ids in (largest, generating, unit_largest, unit_generating)
+    ]
+    if not zeros:
+        found[2:] = None, None
+    return tuple(found)
 
 
 def _precedes(ids: tuple[int, ...], held: tuple[int, ...]) -> bool:
@@ -548,6 +589,10 @@ class RankReport:
     records: dict[str, SearchOutcome]
     n: int | None = None
     table: SemigroupTable = field(repr=False, default=None)
+    # r3 and r4 of the group of units, in its own ids, when the walk split at
+    # the right zeros (see _walk); None otherwise.  Not replayed here, and
+    # left out of to_dict and format_text.
+    unit_ranks: dict[str, SearchOutcome] | None = field(repr=False, default=None)
 
     @property
     def ranks(self) -> dict[str, int]:
@@ -615,7 +660,9 @@ def rank_report(
     if smaller (sound: a smallest generating set is independent), with the
     method "chain-step", so the reported chain r1 <= r2 <= r3 <= r4 <= r5
     always holds.  Every certificate is replayed through the core predicates
-    and the chain is re-checked; a failure raises.
+    and the chain is re-checked; a failure raises.  When the walk splits at
+    the right zeros, unit_ranks holds r3 and r4 of the group of units from
+    the same walk (see _walk), which a caller that reads them replays.
     """
     wanted = set(RANK_KEYS) if which is None else set(which)
     unknown = wanted - set(RANK_KEYS)
@@ -624,13 +671,16 @@ def rank_report(
 
     s = _Search(table, budget)
     found: dict[str, SearchOutcome] = {}
+    unit_ranks = None
     if "r1" in wanted:
         found["r1"] = SearchOutcome(small_rank(table), None, method="fast-path")
     if wanted & {"r2", "r3", "r4"}:
         # r3/r4 may step down to the r2 record, so compute it for them too
         found["r2"] = _lower_rank(s)
     if wanted & {"r3", "r4"}:
-        found["r4"], found["r3"] = _walk(s)
+        found["r4"], found["r3"], unit_r4, unit_r3 = _walk(s)
+        if unit_r4 is not None:
+            unit_ranks = {"r3": unit_r3, "r4": unit_r4}
         for key, below in (("r3", "r2"), ("r4", "r3")):
             low = found[below]
             if found[key].value < low.value:
@@ -645,7 +695,7 @@ def rank_report(
     for key, rec in records.items():
         if not all(holds(rec.witness, table) for holds in _REPLAY.get(key, ())):
             raise RuntimeError(f"{key} certificate failed replay")
-    report = RankReport(records, n=n, table=table)
+    report = RankReport(records, n=n, table=table, unit_ranks=unit_ranks)
     shown = list(report.ranks.values())
     if any(a > b for a, b in zip(shown, shown[1:])):
         raise RuntimeError(f"rank chain violated: {report.ranks}")
@@ -717,7 +767,7 @@ def verify_conjecture(
     if len(witness) != n + 2 or not core.is_independent(witness, table):
         raise RuntimeError("guaranteed lower-bound witness failed; engine fault")
 
-    best, _ = _walk(_Search(table, budget))
+    best = _walk(_Search(table, budget))[0]
     if best.value >= n + 3:
         if not core.is_independent(best.witness, table):
             raise RuntimeError("refutation candidate failed re-verification")

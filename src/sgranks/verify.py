@@ -4,14 +4,23 @@ Every structural fact the rank shortcuts rely on is re-checked here from the
 composition table itself, one PASS/FAIL/SKIPPED line per claim.  Checks whose
 exhaustive regime ends below the requested n report SKIPPED rather than
 guessing.  The three product laws are checked exactly, over every word of
-every length, not on a sample of words.
+every length, not on a sample of words, a row of the table at a time.
+
+One walk serves every rank check.  End(B_n)'s r3 walk splits at its
+constants, the right zeros, and walks the unit ids, S_n, alone (see
+ranks._walk); a set of units closes within S_n, so it is independent there
+exactly when it is in End(B_n).  So the lex-first largest independent A,
+and the lex-first largest with <A> = S_n, are S_n's r4 and r3 with their
+witnesses, in the ids of m.aut_subtable(), where both are replayed.  A walk
+that does not split, as under a node budget, gives no ranks of S_n, and the
+check says so.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from operator import itemgetter
 
 from . import core, ranks, reference
 from .endo import (
@@ -22,7 +31,6 @@ from .endo import (
     enumerate_endomorphisms_oracle,
     enumerate_endomorphisms_structural,
     full_cycle,
-    perm_compose,
     transposition,
 )
 
@@ -109,12 +117,17 @@ def _check_aut_composition(m: EndoMonoid) -> CheckResult:
     if m.n > 5:
         return CheckResult("automorphism-composition", SKIPPED, f"pairwise table check capped at n <= 5, got n={m.n}")
     p = m.table.product
-    perms = [m.elements[a].perm for a in m.automorphism_ids]
-    ids = {sigma: a for a, sigma in enumerate(perms)}
+    auts = m.automorphism_ids  # 0..n!-1, the first n! entries of each row
+    perms = [m.elements[a].perm for a in auts]
+    # perm_compose(sigma, tau), sigma first and then tau, is tau read at
+    # sigma's points, so one itemgetter per sigma composes it with every tau.
+    # An itemgetter of one key returns the item, not a 1-tuple, so for n = 1
+    # the permutations are keyed through an itemgetter of as many keys.
+    key = itemgetter(*range(m.n))
+    ids = {key(tau): b for b, tau in enumerate(perms)}
     ok = all(
-        p[a][b] == ids.get(perm_compose(sigma, tau))
-        for a, sigma in enumerate(perms)
-        for b, tau in enumerate(perms)
+        p[a][:len(auts)] == tuple(map(ids.get, map(itemgetter(*[i - 1 for i in sigma]), perms)))
+        for a, sigma in zip(auts, perms)
     )
     distinct = len(ids) == len(perms)
     return _result(
@@ -124,59 +137,92 @@ def _check_aut_composition(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _word_law_holds(m: EndoMonoid, law) -> bool:
-    """Whether law(product, word) holds on every word over the ids, of any length.
+def _word_law_holds(m: EndoMonoid, row_law) -> bool:
+    """Whether a law on products holds on every word over the ids, of any length.
 
-    Only the N^2 two-letter words (x, a), x any element, are checked.  A word
-    w1...wk multiplies as the left fold x*wk with x = w1...w(k-1), so by
-    induction on k the pairs settle every longer word; one-letter words satisfy
-    each law outright (the zero constant z is not a nonzero constant).  Given
-    the law on w1...w(k-1):
+    row_law(x, row) tells whether the law holds on the N two-letter words
+    (x, a) for every a at once, row being x's row of products, so only the
+    N^2 two-letter words are checked.  A word w1...wk multiplies as the
+    left fold x*wk with x = w1...w(k-1), which lies in row x, so by
+    induction on k the rows settle every longer word; one-letter words
+    satisfy each law outright (the zero constant z is not a nonzero
+    constant).  Given the law on w1...w(k-1):
     - automorphism-products: x is an automorphism exactly when w1..w(k-1) all
-      are, so the pair law on (x, wk) is the law on w1...wk;
+      are, so the law on row x at column wk is the law on w1...wk;
     - zero-products: x*wk = z forces x = z or wk = z, and x = z forces some
       wi = z;
-    - nonzero-constant-products: the pair law on (x, wk) carries over, except
-      when x = z while some of w1..w(k-1) is a nonzero constant.  The law then
-      reads "z*wk is a nonzero constant exactly when z*wk != z", which, given
-      the pair (z, wk), holds exactly when z*a = z for each a that is not a
-      nonzero constant, so that check reads z's row too.  z is not a two-sided
-      zero: z*c = c for a nonzero constant c.
+    - nonzero-constant-products: the law on row x at column wk carries over,
+      except when x = z while some of w1..w(k-1) is a nonzero constant.  The
+      law then reads "z*wk is a nonzero constant exactly when z*wk != z",
+      which, given row z at column wk, holds exactly when z*a = z for each a
+      that is not a nonzero constant, so that check reads z's row too.  z is
+      not a two-sided zero: z*c = c for a nonzero constant c.
     """
-    ids = range(len(m))
-    # map feeds the law a row at a time from C, with no Python frame per word
-    return all(all(map(law, row, zip(repeat(x), ids))) for x, row in enumerate(m.table.product))
+    return all(map(row_law, range(len(m)), m.table.product))
+
+
+def _flags(member: bytes, row) -> int:
+    """member[b] for each entry b of row, one byte per column, as an int.
+
+    member holds a 0 or 1 per id.  The map and the bytes are built in C, so a
+    row costs no Python frame per entry, and two rows' flags compare, or
+    mask each other, column by column as one int.
+    """
+    return int.from_bytes(bytes(map(member.__getitem__, row)), "little")
+
+
+def _kind_flags(m: EndoMonoid, kind: str) -> bytes:
+    return bytes(f.kind == kind for f in m.elements)
 
 
 def _check_aut_products(m: EndoMonoid) -> CheckResult:
-    auts = frozenset(a for a, f in enumerate(m.elements) if f.kind == AUTOMORPHISM)
+    aut = _kind_flags(m, AUTOMORPHISM)
+    columns = int.from_bytes(aut, "little")
+
+    def row_law(x, row) -> bool:
+        # x*a is an automorphism exactly when x and a are
+        return _flags(aut, row) == (columns if aut[x] else 0)
+
     return _result(
         "automorphism-products",
-        _word_law_holds(m, lambda prod, word: (prod in auts) == auts.issuperset(word)),
+        _word_law_holds(m, row_law),
         "a product is an automorphism exactly when every factor is",
     )
 
 
 def _check_zero_products(m: EndoMonoid) -> CheckResult:
     z = m.zero_id
+
+    def row_law(x, row) -> bool:
+        # x*a = z only when x = z or a = z: z is in row x at most at column z
+        return x == z or row.count(z) == (row[z] == z)
+
     return _result(
         "zero-products",
-        _word_law_holds(m, lambda prod, word: prod != z or z in word),
+        _word_law_holds(m, row_law),
         "a product equals the zero constant only when some factor is the zero constant",
     )
 
 
 def _check_nonzero_constant_products(m: EndoMonoid) -> CheckResult:
-    consts = frozenset(a for a, f in enumerate(m.elements) if f.kind == NONZERO_CONSTANT)
     z = m.zero_id
+    const = _kind_flags(m, NONZERO_CONSTANT)
+    # the ids that are a nonzero constant or z
+    settled = bytes(c or b == z for b, c in enumerate(const))
+    columns = int.from_bytes(const, "little")
+    every = int.from_bytes(bytes([1]) * len(m), "little")
 
-    def law(prod, word) -> bool:
-        return (prod in consts) == (prod != z and not consts.isdisjoint(word))
+    def row_law(x, row) -> bool:
+        # x*a is a nonzero constant exactly when x*a != z and x or a is one.
+        # With want the columns a where x or a is one, that reads: x*a is a
+        # nonzero constant only in want, and in want it is one or z
+        want = every if const[x] else columns
+        return not _flags(const, row) & ~want and not want & ~_flags(settled, row)
 
-    zero_row = all(b == z or a in consts for a, b in enumerate(m.table.product[z]))
+    zero_row = all(b == z or const[a] for a, b in enumerate(m.table.product[z]))
     return _result(
         "nonzero-constant-products",
-        zero_row and _word_law_holds(m, law),
+        zero_row and _word_law_holds(m, row_law),
         "a product is a nonzero constant exactly when a factor is one and the product is not the zero constant",
     )
 
@@ -284,20 +330,33 @@ def _check_prime_subset(m: EndoMonoid, got: ranks.SearchOutcome) -> CheckResult:
     )
 
 
-def _check_symmetric_group_ranks(m: EndoMonoid, budget) -> CheckResult:
+def _check_symmetric_group_ranks(m: EndoMonoid, unit_ranks) -> CheckResult:
+    """S_n's r3 and r4 as End(B_n)'s walk read them off its units, with both
+    witnesses replayed on the automorphism subtable; unit_ranks is the
+    report's (see ranks._walk), None when the walk did not split."""
     n = m.n
     if n < 2:
         return CheckResult("symmetric-group-ranks", SKIPPED, "degenerate below n = 2")
     if n > 5:
         return CheckResult("symmetric-group-ranks", SKIPPED, f"subset search capped at n <= 5, got n={n}")
-    report = ranks.rank_report(m.aut_subtable(), budget, which=("r3", "r4"))
-    if report.budget_exhausted:
+    if unit_ranks is None:
+        return CheckResult(
+            "symmetric-group-ranks", SKIPPED,
+            "the walk of the monoid did not split at its constants, so it gave no ranks of the automorphism subtable",
+        )
+    r3, r4 = unit_ranks["r3"], unit_ranks["r4"]
+    if not (r3.exact and r4.exact):
         return CheckResult("symmetric-group-ranks", SKIPPED, "budget exhausted on the automorphism subtable")
-    r3, r4 = report.ranks["r3"], report.ranks["r4"]
+    sub = m.aut_subtable()
+    replayed = (
+        core.is_independent(r3.witness, sub)
+        and core.is_generating(r3.witness, sub)
+        and core.is_independent(r4.witness, sub)
+    )
     return _result(
         "symmetric-group-ranks",
-        r3 == n - 1 and r4 == n - 1,
-        f"automorphism subtable has r3 = {r3}, r4 = {r4}, expected {n - 1}",
+        replayed and len(r3.witness) == r3.value == n - 1 and len(r4.witness) == r4.value == n - 1,
+        f"automorphism subtable has r3 = {r3.value}, r4 = {r4.value}, expected {n - 1}",
     )
 
 
@@ -305,10 +364,12 @@ def run_checks(n: int, budget: ranks.Budget | None = None) -> list[CheckResult]:
     """Run the full checklist for End(B_n), returning one result per claim.
 
     r2, r3 and r5 come from one rank_report, which replays their certificates
-    and checks the chain; the reference oracle runs once, for n <= 3.
+    and checks the chain; its walk gives S_n's r3 and r4 too.  The reference
+    oracle runs once, for n <= 3.
     """
     m = enumerate_endomorphisms_structural(n)
-    found = ranks.rank_report(m.table, budget, n=n, which=("r2", "r3", "r5")).records
+    report = ranks.rank_report(m.table, budget, n=n, which=("r2", "r3", "r5"))
+    found = report.records
     flags = reference.subset_flags(m.table) if n <= 3 else None
     return [
         _check_monoid_structure(m),
@@ -325,5 +386,5 @@ def run_checks(n: int, budget: ranks.Budget | None = None) -> list[CheckResult]:
         _check_independent_lower_bound(m),
         _check_small_rank(m),
         _check_prime_subset(m, found["r5"]),
-        _check_symmetric_group_ranks(m, budget),
+        _check_symmetric_group_ranks(m, report.unit_ranks),
     ]

@@ -382,15 +382,49 @@ def test_end_b5_walks_cut_at_1000_nodes():
     )
 
 
+def test_right_zeros_seed_their_closures_alone(monkeypatch):
+    # a right zero x, one of End(B_5)'s constants 120..125, is adjoined from
+    # x alone, not by core._adjoin's pass over the mask: 260 of the 638
+    # closures of the walk cut at 1000 nodes, which does not split, and the
+    # 7 of r2's second phase.  With the seed off (right_zeros read as 0),
+    # values, witnesses, ticks and memos are the same
+    m = enumerate_endomorphisms_structural(5)
+    plain = []  # the x of each closure that core._adjoin computes
+    adjoin = core._adjoin
+
+    def counted(product, gens, mask, x, full):
+        plain.append(x)
+        return adjoin(product, gens, mask, x, full)
+
+    monkeypatch.setattr(core, "_adjoin", counted)
+    for budget, search, ticks, entries, calls, seeds in [
+        (Budget(seconds=None, max_nodes=1000), lambda s: ranks._walk(s)[:2], 1001, 638, 120, 260),
+        (None, ranks._lower_rank, 0, 277, 120, 7),
+    ]:
+        runs = []
+        for seeded in (True, False):
+            s = ranks._Search(m.table, budget)
+            if not seeded:
+                s.right_zeros = 0  # the cached mask, which only adjoin reads here
+            plain.clear()
+            runs.append((search(s), s.clock.nodes, s.memo))
+            assert len(plain) == calls + (0 if seeded else seeds)
+            assert any(x >= 120 for x in plain) != seeded
+        assert runs[0] == runs[1]
+        assert (runs[0][1], sum(map(len, runs[0][2]))) == (ticks, entries)
+
+
 def test_end_b5_walk_cut_by_the_wall_clock():
     # a seconds budget is polled every 1024 ticks, so one already spent at
     # the first poll cuts End(B_5)'s walk (17,365 ticks complete) at exactly
-    # that tick, with no sleeps; both outcomes are bounds that replay
+    # that tick, with no sleeps; both outcomes are bounds that replay, and
+    # so are S_5's two, read off the same walk
     m = enumerate_endomorphisms_structural(5)
     s = ranks._Search(m.table, Budget(seconds=1e-9))
-    largest, generating = ranks._walk(s)
+    largest, generating, unit_largest, unit_generating = ranks._walk(s)
     assert s.clock.nodes == 1024
     assert not largest.exact and not generating.exact
+    assert not unit_largest.exact and not unit_generating.exact
     assert 0 < largest.value == len(largest.witness) <= 7
     assert 0 < generating.value == len(generating.witness) <= 6
     assert is_independent(largest.witness, m.table)
@@ -558,8 +592,8 @@ def test_cut_report_text(monoids):
 # not independent, and the identity is not prime, as (1 2)(1 2) = id.
 _FAILING_PRODUCERS = {
     "r2": ("_lower_rank", lambda s: SearchOutcome(1, (0,))),
-    "r3": ("_walk", lambda s: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
-    "r4": ("_walk", lambda s: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2),
+    "r3": ("_walk", lambda s: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2 + (None, None)),
+    "r4": ("_walk", lambda s: (SearchOutcome(5, (0, 1, 2, 3, 4)),) * 2 + (None, None)),
     "r5": ("large_rank", lambda table: (5, frozenset({0}))),
 }
 
@@ -746,8 +780,10 @@ def test_reduced_walk_matches_plain_walk(monoids, b_tables, random_tables, degen
     # the plain walk of I_3 takes over a second, so it is walked once only
     tables.append(symmetric_inverse_monoid(3))
     for table in tables:
-        whole = _walk(_Search(table, None))
-        assert whole == _walk(_Search(table, plain)), table.product
+        # the first two outcomes: a node budget does not split, so it reads
+        # off no ranks of the group of units
+        whole = _walk(_Search(table, None))[:2]
+        assert whole == _walk(_Search(table, plain))[:2], table.product
         assert whole[0].exact
 
 
@@ -784,10 +820,15 @@ def test_split_walk_matches_plain_walk(monkeypatch, monoids):
         s = _Search(table, None)
         split[table] = _walk(s)
         assert _splits(s) and split[table][0].exact, table.product
+        # the ranks of the group of units read off the split walk are those
+        # of the group's own walk, witnesses included
+        if s.units:
+            group = core.restrict(table, core._iter_bits(s.units))
+            assert split[table][2:] == _walk(_Search(group, None))[:2], table.product
         if table is not end5:
-            assert split[table] == _walk(_Search(table, plain)), table.product
+            assert split[table][:2] == _walk(_Search(table, plain))[:2], table.product
     monkeypatch.setattr(ranks, "_splits", lambda s: False)
-    assert split[end5] == _walk(_Search(end5, None))
+    assert split[end5][:2] == _walk(_Search(end5, None))[:2]
     monkeypatch.undo()
     # a seeded relabelling of End(B_3) puts units above constants, and a node
     # budget walks the plain tree: neither splits
@@ -802,20 +843,21 @@ def test_split_walk_matches_plain_walk(monkeypatch, monoids):
     # all its ids would take 2^24 and be cut by the budget
     band = SemigroupTable.from_rows([list(range(24))] * 24)
     s = _Search(band, Budget(seconds=1))
-    r4, r3 = _walk(s)
+    r4, r3, unit_r4, unit_r3 = _walk(s)
     assert r4 == r3 == SearchOutcome(24, tuple(range(24)), True, "pruned-search")
+    assert unit_r4 == unit_r3 == SearchOutcome(0, (), True, "pruned-search")  # no units
     assert s.clock.nodes == 0
 
 
 def test_split_walk_ticks_and_subsets(monoids):
     # the split walks End(B_n)'s unit ids alone: the ticks and subsets of the
     # walk of S_n, where the walk over all ids takes 847/260 and 22,803/3070
-    from sgranks.ranks import _candidates, _Search
+    from sgranks.ranks import _candidates, _Search, _splits
 
     end5 = enumerate_endomorphisms_structural(5).table
     for table, ticks, subsets in [(monoids[4].table, 422, 31), (end5, 17365, 258)]:
         s = _Search(table, None)
-        assert sum(1 for _ in _candidates(s)) == subsets
+        assert sum(1 for _ in _candidates(s, _splits(s))) == subsets
         assert s.clock.nodes == ticks
 
 

@@ -6,9 +6,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from sgranks import verify
-from sgranks.endo import AUTOMORPHISM, NONZERO_CONSTANT, enumerate_endomorphisms_structural
-from sgranks.ranks import Budget
+from sgranks import ranks, verify
+from sgranks.endo import (
+    AUTOMORPHISM,
+    NONZERO_CONSTANT,
+    enumerate_endomorphisms_structural,
+    full_cycle,
+    transposition,
+)
+from sgranks.ranks import Budget, SearchOutcome
 
 from _tablegen import first_violation
 
@@ -77,14 +83,63 @@ def test_small_rank_check_detail(monoids, n):
 
 def test_symmetric_group_ranks_check_at_n5_and_n6():
     m = enumerate_endomorphisms_structural(5)
-    assert verify._check_symmetric_group_ranks(m, None) == verify.CheckResult(
+    unit_ranks = ranks.rank_report(m.table, which=("r3",)).unit_ranks
+    assert verify._check_symmetric_group_ranks(m, unit_ranks) == verify.CheckResult(
         "symmetric-group-ranks", verify.PASS,
         "automorphism subtable has r3 = 4, r4 = 4, expected 4",
     )
-    # n = 6 is skipped before any table is read
+    # n = 6 is skipped before any table or rank is read
     assert verify._check_symmetric_group_ranks(SimpleNamespace(n=6), None) == verify.CheckResult(
         "symmetric-group-ranks", verify.SKIPPED, "subset search capped at n <= 5, got n=6"
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetric_group_ranks_come_from_the_one_walk(monkeypatch, n):
+    # run_checks walks once, End(B_n)'s split walk, and S_n's r3 and r4 with
+    # their witnesses, read off it, are those of S_n's own report
+    walks = []
+    walk = ranks._walk
+
+    def counted(s):
+        walks.append(walk(s))
+        return walks[-1]
+
+    monkeypatch.setattr(ranks, "_walk", counted)
+    results = by_name(verify.run_checks(n))
+    monkeypatch.undo()
+    assert len(walks) == 1
+    assert results["symmetric-group-ranks"].status == verify.PASS
+    m = enumerate_endomorphisms_structural(n)
+    reference = ranks.rank_report(m.aut_subtable(), which=("r3", "r4")).records
+    assert walks[0][2:] == (reference["r4"], reference["r3"])
+
+
+@pytest.mark.parametrize("key", ["r3", "r4"])
+def test_symmetric_group_ranks_replays_both_witnesses(monoids, key):
+    # a dependent witness of the right size fails the replay on the
+    # automorphism subtable, as the identity 0 lies in every <x>; the forged
+    # r3 witness, with the transposition (1 2) and the 4-cycle, generates S_4
+    m = monoids[4]
+    unit_ranks = ranks.rank_report(m.table, which=("r3",)).unit_ranks
+    dependent = (0, m.perm_id(transposition(4, 1, 2)), m.perm_id(full_cycle(4)))
+    forged = {**unit_ranks, key: SearchOutcome(3, tuple(sorted(dependent)), True, "pruned-search")}
+    assert verify._check_symmetric_group_ranks(m, unit_ranks).status == verify.PASS
+    assert verify._check_symmetric_group_ranks(m, forged) == verify.CheckResult(
+        "symmetric-group-ranks", verify.FAIL,
+        "automorphism subtable has r3 = 3, r4 = 3, expected 3",
+    )
+
+
+def test_symmetric_group_ranks_skipped_when_the_walk_does_not_split():
+    # a node budget walks the plain tree over all ids, which reads off no
+    # ranks of S_n; every other check still passes
+    results = by_name(verify.run_checks(3, Budget(seconds=None, max_nodes=10**6)))
+    assert results.pop("symmetric-group-ranks") == verify.CheckResult(
+        "symmetric-group-ranks", verify.SKIPPED,
+        "the walk of the monoid did not split at its constants, so it gave no ranks of the automorphism subtable",
+    )
+    assert {r.status for r in results.values()} == {verify.PASS}
 
 
 def test_automorphism_composition_check_skips_above_n5():
@@ -95,9 +150,9 @@ def test_automorphism_composition_check_skips_above_n5():
 
 
 def test_spent_seconds_budget_skips_both_walks():
-    # a seconds budget spent by the walks' first poll of the wall clock cuts
-    # End(B_5)'s r3 walk and S_5's r3/r4 walk: both checks are SKIPPED, and
-    # no check fails
+    # a seconds budget spent by the walk's first poll of the wall clock cuts
+    # End(B_5)'s one walk, which gives its r3 and S_5's r3/r4: both checks
+    # are SKIPPED, and no check fails
     results = by_name(verify.run_checks(5, Budget(seconds=1e-9)))
     assert results["independent-generating-size"] == verify.CheckResult(
         "independent-generating-size", verify.SKIPPED, "budget exhausted with best bound 6"
@@ -147,6 +202,9 @@ FAULTS = {
     "aut-times-aut-is-constant": ((1, 2, 6), (verify.FAIL, verify.PASS, verify.FAIL)),
     "aut-times-constant-is-zero": ((1, 6, 9), (verify.PASS, verify.FAIL, verify.PASS)),
     "zero-times-aut-is-aut": ((9, 1, 2), (verify.FAIL, verify.PASS, verify.FAIL)),
+    # in the last columns, which the row checks must read too
+    "aut-times-constant-is-aut": ((1, 8, 2), (verify.FAIL, verify.PASS, verify.FAIL)),
+    "constant-times-zero-is-aut": ((7, 9, 3), (verify.FAIL, verify.PASS, verify.FAIL)),
 }
 
 
@@ -154,6 +212,27 @@ FAULTS = {
 def test_product_checks_catch_a_planted_fault(monoids, fault):
     (x, a, value), expected = FAULTS[fault]
     assert tuple(product_statuses(planted(monoids[3], x, a, value)).values()) == expected
+
+
+# Each sets one product x*a of two automorphisms of End(B_3) to a wrong
+# automorphism: in the first, the last and a middle column of the block.
+AUT_BLOCK_FAULTS = {
+    "first-column": (1, 0, 2),
+    "last-column": (2, 5, 4),
+    "middle-column": (5, 2, 0),
+}
+
+
+@pytest.mark.parametrize("fault", AUT_BLOCK_FAULTS)
+def test_aut_composition_catches_a_planted_product(monoids, fault):
+    m = planted(monoids[3], *AUT_BLOCK_FAULTS[fault])
+    assert verify._check_aut_composition(m) == verify.CheckResult(
+        "automorphism-composition", verify.FAIL,
+        "composition of the 6 automorphisms matches permutation composition",
+    )
+    # a product of automorphisms is still one, which the laws allow
+    assert product_statuses(m) == brute_force_statuses(m)
+    assert set(product_statuses(m).values()) == {verify.PASS}
 
 
 @pytest.mark.parametrize("n, fault", [(1, None), (2, None), (3, None)] + [(3, f) for f in FAULTS])
