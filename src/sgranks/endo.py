@@ -58,20 +58,17 @@ def full_cycle(n: int) -> tuple[int, ...]:
 
 def perm_cycles(sigma) -> list[tuple[int, ...]]:
     """Disjoint cycles of length >= 2, each starting at its smallest point."""
-    seen = set()
+    seen = [False] * (len(sigma) + 1)  # seen[p]: p lies on a cycle already listed
     cycles = []
-    for start in range(1, len(sigma) + 1):
-        if start in seen:
-            continue
+    for start, nxt in enumerate(sigma, 1):
+        if nxt == start or seen[start]:
+            continue  # a fixed point, or a later point of a listed cycle
         cyc = [start]
-        seen.add(start)
-        nxt = sigma[start - 1]
         while nxt != start:
             cyc.append(nxt)
-            seen.add(nxt)
+            seen[nxt] = True
             nxt = sigma[nxt - 1]
-        if len(cyc) > 1:
-            cycles.append(tuple(cyc))
+        cycles.append(tuple(cyc))
     return cycles
 
 
@@ -113,13 +110,12 @@ class Endomorphism:
 def phi_of_perm(sigma, n: int) -> Endomorphism:
     """The automorphism (i, j) -> (i sigma, j sigma), fixing the zero."""
     check_perm(sigma, n)
-    image = [0] * (n * n + 1)
-    # element_to_id's formula, without its checks: check_perm covered them
-    for i in range(1, n + 1):
-        si = sigma[i - 1]
-        for j in range(1, n + 1):
-            image[1 + (i - 1) * n + (j - 1)] = 1 + (si - 1) * n + (sigma[j - 1] - 1)
-    return Endomorphism(n, tuple(image), AUTOMORPHISM, perm=tuple(sigma))
+    # element_to_id's formula, without its checks: check_perm covered them.
+    # Over the 0-based points, (i, j) has id 1 + i*n + j, so the ids in
+    # row-major order are those of (i sigma, j sigma)
+    zero_based = [s - 1 for s in sigma]
+    image = (0, *[1 + si * n + sj for si in zero_based for sj in zero_based])
+    return Endomorphism(n, image, AUTOMORPHISM, perm=tuple(sigma))
 
 
 def constant_map(target, n: int) -> Endomorphism:

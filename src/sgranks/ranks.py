@@ -217,40 +217,38 @@ def _independent_sets(s: _Search, stop: int | None = None):
     conjugations this is the plain lex walk over all independent subsets.
 
     All P conjugations are tested at once on packed ints of P fields of
-    W = N + 1 bits: field k holds bits [k*W, k*W + N) and its guard is bit
-    k*W + N (Lamport, "Multiple byte processing with full-word instructions",
-    1975).  The node carries margins, whose field k is 2^N + G - M_k, where
-    G is U's reversed mask and M_k that of p_k(U); for the empty U at the
-    root, margins is guards.  x is not in U, nor p_k(x) in p_k(U) as p_k is
-    a bijection, so adding x adds 2^(last - x) to G and 2^(last - p_k(x)) to
-    M_k, which deltas[x] holds for every k at once.  U + [x] is lex-min iff
-    G' >= M'_k for every k, and both are below 2^N, so each field of
-    margins + deltas[x] is 2^N + G' - M'_k, between 0 and 2^W: no carry or
-    borrow crosses a field, and field k keeps its guard iff M'_k <= G'.  So
-    one addition and one AND test every conjugation, and a kept node's
-    margins have every guard set, as the root's do.  With no conjugations
-    guards is 0 and every candidate passes.
+    W bits, W = 8*ceil((N + 1)/8), the least multiple of 8 that is at least
+    N + 1, so that each field is whole bytes: field k holds bits
+    [k*W, k*W + N) and its guard is bit k*W + N (Lamport, "Multiple byte
+    processing with full-word instructions", 1975).  The node carries
+    margins, whose field k is 2^N + G - M_k, where G is U's reversed mask
+    and M_k that of p_k(U); for the empty U at the root, margins is guards.
+    x is not in U, nor p_k(x) in p_k(U) as p_k is a bijection, so adding x
+    adds 2^(last - x) to G and 2^(last - p_k(x)) to M_k, which deltas[x]
+    holds for every k at once: its subtrahend is the W-bit one-hot fields
+    of p_0(x), p_1(x), ... joined as bytes, read off x's column of the
+    conjugations.  U + [x] is lex-min iff G' >= M'_k for every k, and both
+    are below 2^N, so each field of margins + deltas[x] is 2^N + G' - M'_k,
+    between 0 and 2^(N + 1) <= 2^W: no carry or borrow crosses a field, and
+    field k keeps its guard iff M'_k <= G'.  So one addition and one AND
+    test every conjugation, and a kept node's margins have every guard set,
+    as the root's do.  With no conjugations guards and every delta are 0,
+    and every candidate passes.
     """
     perms = s.conjugations
     last = len(s.product) - 1
     stop = last + 1 if stop is None else stop
-    width = last + 2
-    size = (len(perms) * width + 7) // 8  # bytes of a packed int
-    ones = _packed(size, range(0, len(perms) * width, width))  # bit 0 of every field
+    width = (last + 1) // 8 + 1  # W / 8 = ceil((N + 1)/8) bytes per field
+    onehot = [(1 << last - y).to_bytes(width, "little") for y in range(last + 1)]  # id y's field
+    ones = int.from_bytes(onehot[last] * len(perms), "little")  # bit 0 of every field
+    # x's column of the conjugations, (p_0(x), p_1(x), ...); none with no conjugations
+    columns = zip(*perms) if perms else [()] * stop
     deltas = [
-        (ones << last - x) - _packed(size, [k * width + last - p[x] for k, p in enumerate(perms)])
-        for x in range(stop)
+        (ones << last - x) - int.from_bytes(b"".join(map(onehot.__getitem__, column)), "little")
+        for x, column in zip(range(stop), columns)
     ]
     guards = ones << last + 1
     yield from _branch(s, deltas, guards, [], [], 0, guards)
-
-
-def _packed(size: int, bits) -> int:
-    """The int with the given bits set, built in one pass over size bytes."""
-    buf = bytearray(size)
-    for b in bits:
-        buf[b >> 3] |= 1 << (b & 7)
-    return int.from_bytes(buf, "little")
 
 
 def _branch(s: _Search, deltas: list[int], guards: int, u: list[int],
@@ -335,18 +333,25 @@ def _candidates(s: _Search, zeros: int):
     comes with C, the lowest id of each orbit of <A> on K (see _walk); it
     generates iff <A> is all the walked ids.  With K empty C is () and A
     runs over the sets of _independent_sets.
+
+    C depends on <A> alone, as c closed under right products by A is
+    c*<A>^1, so it is computed once per closure whole = <A> and memoised.
     """
     product = s.product
     walked = s.full ^ zeros
+    orbit_lows: dict[int, tuple[int, ...]] = {}
     for ids, whole in _independent_sets(s, walked.bit_length()):
-        rest, lows = zeros, []
-        while rest:
-            c = (rest & -rest).bit_length() - 1
-            lows.append(c)
-            # c's orbit c*<A>^1 is c closed under right products by A; it
-            # lies in K, so K serves as the full mask of the early exit
-            rest &= ~core._grow(product, ids, 1 << c, [c], zeros)
-        yield ids, tuple(lows), whole == walked
+        lows = orbit_lows.get(whole)
+        if lows is None:
+            rest, found = zeros, []
+            while rest:
+                c = (rest & -rest).bit_length() - 1
+                found.append(c)
+                # c's orbit c*<A>^1 is c closed under right products by A; it
+                # lies in K, so K serves as the full mask of the early exit
+                rest &= ~core._grow(product, ids, 1 << c, [c], zeros)
+            lows = orbit_lows[whole] = tuple(found)
+        yield ids, lows, whole == walked
 
 
 def _walk(s: _Search) -> tuple[SearchOutcome | None, ...]:
@@ -534,10 +539,22 @@ def smallest_prime_subset(table: SemigroupTable) -> frozenset[int]:
     ties at the minimum size are broken by scanning subsets drawn from the
     largest element ids first, which prefers zero-like certificates (zeros sit
     at the end of the canonical element orders used here).
+
+    Singletons come first and need no pair table: {u} is prime iff no
+    product a*b = u has a, b != u, that is, iff every row a != u holds u at
+    most at column u.  The ids are scanned from the largest down, and each
+    u's scan stops at the first row that refutes it, so End(B_n)'s zero
+    constant, its last id, is found in one pass over the rows.  Only when no
+    singleton is prime is the pair table core._hitters built, and sizes
+    k >= 2 are searched in the same order as k = 1.
     """
     n = table.size
-    hitters = core._hitters(table.product)
-    for k in range(1, n + 1):
+    product = table.product
+    for u in range(n - 1, -1, -1):
+        if all(row.count(u) == (row[u] == u) for a, row in enumerate(product) if a != u):
+            return frozenset((u,))
+    hitters = core._hitters(product)
+    for k in range(2, n + 1):
         for combo in combinations(range(n - 1, -1, -1), k):
             chosen = set(combo)
             if all(

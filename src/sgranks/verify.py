@@ -114,8 +114,8 @@ def _check_oracle(m: EndoMonoid) -> CheckResult:
 
 
 def _check_aut_composition(m: EndoMonoid) -> CheckResult:
-    if m.n > 5:
-        return CheckResult("automorphism-composition", SKIPPED, f"pairwise table check capped at n <= 5, got n={m.n}")
+    if m.n > 6:
+        return CheckResult("automorphism-composition", SKIPPED, f"pairwise table check capped at n <= 6, got n={m.n}")
     p = m.table.product
     auts = m.automorphism_ids  # 0..n!-1, the first n! entries of each row
     perms = [m.elements[a].perm for a in auts]

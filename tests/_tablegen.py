@@ -118,6 +118,13 @@ def rectangular_band(rows, cols):  # (i, j)(k, l) = (i, l), with id i * cols + j
     ])
 
 
+def dihedral_group(k):  # r^i s^f with id f * k + i: the rotations first, the identity 0
+    return SemigroupTable.from_rows([
+        [(f ^ g) * k + (i + (j if f == 0 else -j)) % k for g in (0, 1) for j in range(k)]
+        for f in (0, 1) for i in range(k)
+    ])
+
+
 def chain(size):  # a*b = min(a, b), so every product is one of its factors
     return SemigroupTable.from_rows([[min(a, b) for b in range(size)] for a in range(size)])
 

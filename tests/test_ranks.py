@@ -33,6 +33,7 @@ from sgranks.reference import subset_flags
 from _tablegen import (
     chain,
     cyclic_group,
+    dihedral_group,
     direct_product,
     full_transformation_monoid,
     left_zero_band,
@@ -336,6 +337,71 @@ def test_smallest_prime_prefers_zero_constant(monoids):
         assert prime == {m.zero_id}
         assert value == len(m)
         assert subset_flags(m.table).ranks()["r5"] == value
+
+
+def prime_subset_by_pairs(table):
+    """The smallest prime subset as found from the pair table alone: sizes
+    from 1 up, each over the subsets drawn from the largest ids first."""
+    n = table.size
+    hitters = [[] for _ in range(n)]
+    for a, row in enumerate(table.product):
+        for b, c in enumerate(row):
+            hitters[c].append((a, b))
+    for k in range(1, n + 1):
+        for combo in combinations(range(n - 1, -1, -1), k):
+            if all(a in combo or b in combo for u in combo for a, b in hitters[u]):
+                return frozenset(combo)
+
+
+def count_pair_tables(monkeypatch):
+    built = []
+    hitters = core._hitters
+
+    def counted(product):
+        built.append(len(product))
+        return hitters(product)
+
+    monkeypatch.setattr(core, "_hitters", counted)
+    return built
+
+
+def test_prime_singletons_are_found_without_the_pair_table(monkeypatch, monoids, random_tables):
+    # the random pool and End(B_1..5), as built and shuffled: the same prime
+    # subset as the search over the pair table from k = 1, and the pair
+    # table is built only when no singleton is prime
+    end5 = enumerate_endomorphisms_structural(5).table
+    ends = [m.table for m in monoids.values()] + [end5]
+    tables = random_tables + ends + [shuffled(t, seed) for seed, t in enumerate(ends)]
+    built = count_pair_tables(monkeypatch)
+    singles = 0
+    for table in tables:
+        built.clear()
+        got = smallest_prime_subset(table)
+        assert got == prime_subset_by_pairs(table), table.product
+        assert built == ([] if len(got) == 1 else [table.size]), table.product
+        singles += len(got) == 1
+    assert singles < len(tables)  # the pool has a table with no prime singleton
+    # End(B_n)'s r5 is its zero constant, found by the singleton scan alone
+    built.clear()
+    for table in ends:
+        report = rank_report(table, which=["r5"])
+        assert report.certificates["r5_prime"] == (table.size - 1,)
+        assert report.ranks["r5"] == table.size
+    assert built == []
+
+
+def test_tables_without_prime_singletons_search_the_pair_table(monkeypatch):
+    # in C_6 and a 2 x 3 rectangular band every u is a product a*b with
+    # a, b != u, so the scan of singletons falls through to sizes k >= 2
+    built = count_pair_tables(monkeypatch)
+    for table, size in [(cyclic_group(6), 3), (rectangular_band(2, 3), 2)]:
+        assert not any(is_prime_subset([u], table) for u in range(table.size))
+        built.clear()
+        got = smallest_prime_subset(table)
+        assert built == [table.size]
+        assert got == prime_subset_by_pairs(table)
+        assert len(got) == size and is_prime_subset(got, table)
+        assert large_rank(table)[0] == subset_flags(table).ranks()["r5"] == table.size - size + 1
 
 
 def test_budget_exhaustion_flags_bounds(monoids):
@@ -737,6 +803,58 @@ def test_independent_set_enumeration_matches_definition(monoids):
         s = _Search(ends[n], budget)
         assert sum(1 for _ in _independent_sets(s)) == subsets, (n, budget)
         assert s.clock.nodes == ticks, (n, budget)
+
+
+def test_packed_fields_at_byte_boundaries():
+    # fields are W = 8*ceil((N + 1)/8) bits, so these tables, with N + 1 at
+    # 8, 9, 10, 16 and 17, have fields of 8, 16, 16, 16 and 24 bits: the
+    # guard at bit N is the top bit of a field for N = 7 and 15, and the
+    # lowest of a new byte for N = 8 and 16.  Each has units that conjugate
+    # nontrivially; shuffled, the walk takes all ids and the images fall at
+    # other bits.  The orbit-pruned walk visits the lex-min sets of the plain
+    # walk, in order, with the same witnesses
+    plain = Budget(seconds=None, max_nodes=10**9)
+    tables = [with_zero(dihedral_group(3)), symmetric_inverse_monoid(2), dihedral_group(4),
+              with_zero(dihedral_group(4)), with_zero(dihedral_group(7)), dihedral_group(8),
+              direct_product(dihedral_group(4), chain(2))]
+    assert [t.size for t in tables] == [7, 7, 8, 9, 15, 16, 16]
+    tables += [shuffled(t, t.size) for t in tables]
+    for table in tables:
+        s = ranks._Search(table, None)
+        assert s.conjugations, table.product
+        stop = (s.full ^ ranks._splits(s)).bit_length()
+        perms = conjugations_by_definition(table)
+        every = [ids for ids, _ in ranks._independent_sets(ranks._Search(table, plain), stop)]
+        reps = [ids for ids in every if all(tuple(sorted(p[a] for a in ids)) >= ids for p in perms)]
+        assert len(reps) < len(every), table.product
+        assert [ids for ids, _ in ranks._independent_sets(s, stop)] == reps, table.product
+        whole = ranks._walk(ranks._Search(table, None))[:2]
+        assert whole == ranks._walk(ranks._Search(table, plain))[:2], table.product
+
+
+def test_orbit_lows_are_memoised_by_the_closure(monoids):
+    # _candidates computes C, the lowest id of each orbit of <A> on K, once
+    # per closure <A>; the stream is that of C read off <A> by definition,
+    # c*<A>^1 = {c} + {c*g : g in <A>}, for every A walked
+    from sgranks.ranks import _candidates, _independent_sets, _Search, _splits
+
+    end5 = enumerate_endomorphisms_structural(5).table
+    tables = [monoids[n].table for n in (1, 2, 3, 4)] + [end5, with_zero(dihedral_group(4))]
+    for table in tables:
+        p = table.product
+        s = _Search(table, None)
+        zeros = _splits(s)
+        assert zeros, table.product
+        walked = s.full ^ zeros
+        got = list(_candidates(s, zeros))
+        expected = []
+        for ids, whole in _independent_sets(_Search(table, None), walked.bit_length()):
+            orbits = {min({c} | {p[c][g] for g in ids_of(whole)}) for c in ids_of(zeros)}
+            expected.append((ids, tuple(sorted(orbits)), whole == walked))
+        assert got == expected, table.size
+    # End(B_5)'s 258 candidates have 26 distinct closures, so C is computed 26 times
+    walk = list(_independent_sets(_Search(end5, None), 120))
+    assert (len({whole for _, whole in walk}), len(walk)) == (26, 258)
 
 
 def test_conjugations_are_distinct_automorphisms(monoids):

@@ -142,10 +142,19 @@ def test_symmetric_group_ranks_skipped_when_the_walk_does_not_split():
     assert {r.status for r in results.values()} == {verify.PASS}
 
 
-def test_automorphism_composition_check_skips_above_n5():
-    # n = 6 is skipped before any table is read
-    assert verify._check_aut_composition(SimpleNamespace(n=6)) == verify.CheckResult(
-        "automorphism-composition", verify.SKIPPED, "pairwise table check capped at n <= 5, got n=6"
+def test_automorphism_composition_check_skips_above_n6():
+    # n = 7 is skipped before any table is read
+    assert verify._check_aut_composition(SimpleNamespace(n=7)) == verify.CheckResult(
+        "automorphism-composition", verify.SKIPPED, "pairwise table check capped at n <= 6, got n=7"
+    )
+
+
+def test_automorphism_composition_check_passes_on_end_b6():
+    # all 720^2 products of End(B_6)'s automorphisms, a row at a time
+    m = enumerate_endomorphisms_structural(6)
+    assert verify._check_aut_composition(m) == verify.CheckResult(
+        "automorphism-composition", verify.PASS,
+        "composition of the 720 automorphisms matches permutation composition",
     )
 
 
