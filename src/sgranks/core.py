@@ -264,6 +264,34 @@ def _cosets(product, gens: list[int], group: int, x: int, units: int) -> int:
     return group
 
 
+def _double_coset(product, gens: list[int], group: int, x: int) -> int:
+    """The double coset K*x*K as a mask, where group is a finite group K
+    that gens generate and x lies outside it.
+
+    K*x*K is the union of the left cosets r*K for r in K*x, grown as in
+    _cosets from x*K: g*(r*K) = (g*r)*K, so a new representative is
+    needed only where g*r, for g in gens, lies in no coset held, and the
+    union is closed under left products by gens, hence by K.  Each coset
+    costs |K| lookups, all new, so the whole costs |K*x*K| lookups and
+    |gens| tests per coset.  It holds x, and misses K as x does.
+    """
+    members = list(_iter_bits(group))
+    cosets = 0
+    row = product[x]
+    for k in members:
+        cosets |= 1 << row[k]
+    reps = [x]
+    for r in reps:  # the loop also visits the representatives appended below
+        for g in gens:
+            c = product[g][r]
+            if not cosets >> c & 1:
+                row = product[c]
+                for k in members:
+                    cosets |= 1 << row[k]
+                reps.append(c)
+    return cosets
+
+
 def _closure_mask(mask: int, product, full_mask: int) -> int:
     gens = list(_iter_bits(mask))
     return _grow(product, gens, mask, gens.copy(), full_mask)

@@ -52,7 +52,8 @@ RANK_KEYS = ("r1", "r2", "r3", "r4", "r5")
 DEFAULT_BUDGET_SECONDS = 60.0
 
 # the most entries a closure memo holds: r2 on a left-zero band of 24 meets 2^24
-# distinct (mask, x) pairs, End(B_6)'s whole report only 97,832
+# distinct (mask, x) pairs, End(B_6)'s whole report 97,832, and with the
+# double-coset fills of _Search.adjoin it reaches the bound twice
 _MEMO_ENTRIES = 1 << 17
 
 
@@ -103,9 +104,12 @@ class _Search:
     memo[x][mask] is <mask + {x}> for a closed mask.  r2 adjoins through
     adjoin(); the walk reads a hit from the memo itself and calls adjoin()
     only on a miss, so adjoin() is the memo's one writer, and it empties the
-    memo when it would pass _MEMO_ENTRIES entries.  The memo changes no
-    value, witness or tick: each caller passes mask = <gens>, so the result
-    is <mask + {x}>, fixed by (mask, x) alone.
+    memo when a miss would pass _MEMO_ENTRIES entries.  A miss that grows a
+    subgroup K = mask by cosets also stores its closure under (K, y) for
+    every y in the double coset K*x*K, as <K + {y}> = <K + {x}>, while room
+    lasts (see _fill).  The memo changes no value, witness or tick: each
+    caller passes mask = <gens>, so the result is <mask + {x}>, fixed by
+    (mask, x) alone.
     """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
@@ -118,7 +122,8 @@ class _Search:
     def adjoin(self, gens: list[int], mask: int, x: int) -> int:
         """<gens + [x]>, given mask = <gens>: a right zero x seeds the growth
         alone, a unit x joined to a nonempty closed set of units grows coset
-        by coset (core._cosets), any other x by core._adjoin.
+        by coset (core._cosets), any other x by core._adjoin.  A coset
+        growth's closure is stored for the whole double coset (see _fill).
 
         A right zero x has s*x = x for every s, so of core._adjoin's seeds x
         and s*x for s in mask only x is there, and core._grow from x alone
@@ -140,10 +145,32 @@ class _Search:
                 cl = core._grow(self.product, gens + [x], mask | 1 << x, [x], self.full)
             elif mask and not (mask | 1 << x) & ~self.units:
                 cl = core._cosets(self.product, gens + [x], mask, x, self.units)
+                # x's own entry, with its room taken above, is stored below;
+                # the trivial K = {e} has K*x*K = {x}
+                if mask & mask - 1:
+                    self._fill(core._double_coset(self.product, gens, mask, x) ^ 1 << x, mask, cl)
             else:
                 cl = core._adjoin(self.product, gens, mask, x, self.full)
             seen[mask] = cl
         return cl
+
+    def _fill(self, ys: int, mask: int, cl: int) -> None:
+        """Store cl = <mask + {y}> for each y in ys, the double coset
+        K*x*K of K = mask less x, that has no entry yet, while room lasts;
+        it never empties the memo.
+
+        y = k1*x*k2 lies in <K + {x}>, and x = k1^-1*y*k2^-1 in <K + {y}>,
+        so the two closures are one.
+        """
+        memo, room = self.memo, self.room
+        while ys and room:
+            low = ys & -ys
+            ys ^= low
+            seen = memo[low.bit_length() - 1]
+            if mask not in seen:
+                seen[mask] = cl
+                room -= 1
+        self.room = room
 
     @cached_property
     def identity(self) -> int | None:

@@ -337,8 +337,8 @@ def _check_symmetric_group_ranks(m: EndoMonoid, unit_ranks) -> CheckResult:
     n = m.n
     if n < 2:
         return CheckResult("symmetric-group-ranks", SKIPPED, "degenerate below n = 2")
-    if n > 5:
-        return CheckResult("symmetric-group-ranks", SKIPPED, f"subset search capped at n <= 5, got n={n}")
+    if n > 6:
+        return CheckResult("symmetric-group-ranks", SKIPPED, f"subset search capped at n <= 6, got n={n}")
     if unit_ranks is None:
         return CheckResult(
             "symmetric-group-ranks", SKIPPED,

@@ -450,10 +450,11 @@ def test_end_b5_walks_cut_at_1000_nodes():
 
 def test_right_zeros_seed_their_closures_alone(monkeypatch):
     # a right zero x, one of End(B_5)'s constants 120..125, is adjoined from
-    # x alone, not by core._adjoin's pass over the mask: 260 of the 638
-    # closures of the walk cut at 1000 nodes, which does not split, and the
-    # 7 of r2's second phase.  With the seed off (right_zeros read as 0),
-    # values, witnesses, ticks and memos are the same
+    # x alone, not by core._adjoin's pass over the mask: 260 of the closures
+    # of the walk cut at 1000 nodes, which does not split, and the 7 of r2's
+    # second phase.  With the seed off (right_zeros read as 0), values,
+    # witnesses, ticks and memos are the same.  The memos hold 988 and 280
+    # entries, 638 and 277 without the double-coset fills of adjoin
     m = enumerate_endomorphisms_structural(5)
     plain = []  # the x of each closure that core._adjoin computes
     adjoin = core._adjoin
@@ -464,8 +465,8 @@ def test_right_zeros_seed_their_closures_alone(monkeypatch):
 
     monkeypatch.setattr(core, "_adjoin", counted)
     for budget, search, ticks, entries, calls, seeds in [
-        (Budget(seconds=None, max_nodes=1000), lambda s: ranks._walk(s)[:2], 1001, 638, 120, 260),
-        (None, ranks._lower_rank, 0, 277, 120, 7),
+        (Budget(seconds=None, max_nodes=1000), lambda s: ranks._walk(s)[:2], 1001, 988, 120, 260),
+        (None, ranks._lower_rank, 0, 280, 120, 7),
     ]:
         runs = []
         for seeded in (True, False):
@@ -536,26 +537,41 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
     # every entry a report leaves in its memo maps a closed mask and an x to
     # the closure of mask + {x} computed from scratch; the tables with units
     # first (End(B_n) and a relabelled C_3 x chain(2)) cover r2's search of the
-    # units, whose closures stop growing at the unit mask
+    # units, whose closures stop growing at the unit mask.  In S_4, D_5 with a
+    # zero and End(B_4) with its ids shuffled, some K*x*K holds more than x*K,
+    # so adjoin's fills store pairs (K, y) that no search met
     contexts = []
+    filled = []  # the entries each fill stores
     init = ranks._Search.__init__
+    fill = ranks._Search._fill
 
     def tracked(self, *args):
         init(self, *args)
         contexts.append(self)
 
+    def counted(self, *args):
+        room = self.room
+        fill(self, *args)
+        filled.append(room - self.room)
+
     monkeypatch.setattr(ranks._Search, "__init__", tracked)
+    monkeypatch.setattr(ranks._Search, "_fill", counted)
     grid = direct_product(cyclic_group(3), chain(2))
     units = ids_of(ranks._Search(grid, None).units)
     order = list(units) + [a for a in range(grid.size) if a not in units]
     first = relabel(grid, [order.index(a) for a in range(grid.size)])
     assert units_first(first)
-    tables = [m.table for m in monoids.values()] + random_tables + [grid, first]
+    s4 = monoids[4].aut_subtable()
+    double = [s4, with_zero(dihedral_group(5)), shuffled(monoids[4].table, 5)]
+    tables = [m.table for m in monoids.values()] + random_tables + [grid, first] + double
     for table in tables:
         contexts.clear()
-        rank_report(table)
+        filled.clear()
+        # S_4's r5 takes seconds and uses no memo, so its report leaves r1 and r5 out
+        rank_report(table, which=("r2", "r3", "r4") if table is s4 else None)
         (s,) = contexts
         assert any(s.memo), table.product
+        assert max(filled, default=0) > 1 or table not in double
         for x, seen in enumerate(s.memo):
             for mask, cl in seen.items():
                 assert core._closure_mask(mask, table.product, s.full) == mask
@@ -567,13 +583,20 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
 def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
     # a search that keeps meeting new (mask, x) pairs, as r2 and the walk do on
     # a left-zero band, never holds more than _MEMO_ENTRIES entries, and
-    # emptying the memo changes no value, witness or method
-    tables = [left_zero_band(10), monoids[3].table, monoids[4].table] + random_tables[:10]
-    unbounded = [rank_report(table).to_dict() for table in tables]
+    # emptying the memo changes no value, witness or method.  The fills of
+    # End(B_4) and of S_4 run out of room: they stop there, and the memo is
+    # emptied only by the next miss.  S_4's r5 takes seconds and uses no
+    # memo, so its report leaves r1 and r5 out
+    s4 = monoids[4].aut_subtable()
+    tables = [left_zero_band(10), monoids[3].table, monoids[4].table, s4] + random_tables[:10]
+    keys = [("r2", "r3", "r4") if table is s4 else None for table in tables]
+    unbounded = [rank_report(table, which=which).to_dict() for table, which in zip(tables, keys)]
     cap = 40
     monkeypatch.setattr(ranks, "_MEMO_ENTRIES", cap)
     held = []
+    cut = []  # the fills that ran out of room before their last y
     adjoin = ranks._Search.adjoin
+    fill = ranks._Search._fill
 
     def watched(self, *args):
         got = adjoin(self, *args)
@@ -581,11 +604,20 @@ def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
         assert held[-1] == cap - self.room
         return got
 
+    def filling(self, ys, mask, cl):
+        fill(self, ys, mask, cl)
+        if any(mask not in self.memo[y] for y in ids_of(ys)):
+            assert self.room == 0
+            cut.append(self)
+
     monkeypatch.setattr(ranks._Search, "adjoin", watched)
-    for table, whole in zip(tables, unbounded):
+    monkeypatch.setattr(ranks._Search, "_fill", filling)
+    for table, which, whole in zip(tables, keys, unbounded):
         held.clear()
-        assert rank_report(table).to_dict() == whole, table.product
+        cut.clear()
+        assert rank_report(table, which=which).to_dict() == whole, table.product
         assert max(held) <= cap
+        assert bool(cut) == (table in (monoids[4].table, s4)), table.product
     held.clear()
     rank_report(left_zero_band(10))
     # 2^10 - 1 distinct pairs fill the memo and empty it many times
@@ -595,13 +627,15 @@ def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
 
 def test_complete_walks_leave_pinned_memo_entries(monoids):
     # the walk reads a memo hit inline and stores only through adjoin, so a
-    # complete walk leaves one entry per distinct (mask, x) pair it met.
+    # complete walk leaves one entry per distinct (mask, x) pair it met, and
+    # one per pair (K, y) that a miss of a subgroup K filled for y in K*x*K.
     # End(B_n) splits at its constants and walks its units alone, so it
-    # leaves the entries of its unit group S_n: 78 and 1974, where the walk
-    # over all ids left 265 and 2819
+    # leaves the entries of its unit group S_n: 131 and 4495, where the
+    # pairs met alone number 78 and 1974, and the walk over all ids, with
+    # no fills, left 265 and 2819
     end5 = enumerate_endomorphisms_structural(5)
-    for table, entries in [(monoids[4].table, 78), (monoids[4].aut_subtable(), 78),
-                           (end5.table, 1974), (end5.aut_subtable(), 1974)]:
+    for table, entries in [(monoids[4].table, 131), (monoids[4].aut_subtable(), 131),
+                           (end5.table, 4495), (end5.aut_subtable(), 4495)]:
         s = ranks._Search(table, None)
         assert ranks._walk(s)[0].exact
         assert sum(map(len, s.memo)) == entries, table.size
@@ -967,16 +1001,37 @@ def test_split_walk_matches_plain_walk(monkeypatch, monoids):
     assert s.clock.nodes == 0
 
 
-def test_split_walk_ticks_and_subsets(monoids):
+def test_split_walk_ticks_and_subsets(monkeypatch, monoids):
     # the split walks End(B_n)'s unit ids alone: the ticks and subsets of the
-    # walk of S_n, where the walk over all ids takes 847/260 and 22,803/3070
+    # walk of S_n, where the walk over all ids takes 847/260 and 22,803/3070.
+    # Its subgroup closures grow by _cosets once per double coset K*x*K:
+    # 21 and 347 calls, where one per (K, x) pair met took 66 and 1935
     from sgranks.ranks import _candidates, _Search, _splits
 
+    cosets = []
+    real = core._cosets
+    monkeypatch.setattr(core, "_cosets", lambda *args: cosets.append(args) or real(*args))
     end5 = enumerate_endomorphisms_structural(5).table
-    for table, ticks, subsets in [(monoids[4].table, 422, 31), (end5, 17365, 258)]:
+    for table, ticks, subsets, calls in [(monoids[4].table, 422, 31, 21), (end5, 17365, 258, 347)]:
+        cosets.clear()
         s = _Search(table, None)
         assert sum(1 for _ in _candidates(s, _splits(s))) == subsets
         assert s.clock.nodes == ticks
+        assert len(cosets) == calls
+
+
+def subgroups_of(group, size):
+    # every subgroup of the group of ids 0..size-1 in table group: the
+    # closures of pairs, then of each one with an id joined, until no new one
+    product, full = group.product, (1 << group.size) - 1
+    found = {core._closure_mask(1 << a | 1 << b, product, full)
+             for a in range(size) for b in range(size)}
+    grown = True
+    while grown:
+        joins = {core._closure_mask(k | 1 << x, product, full) for k in found for x in range(size)}
+        grown = not joins <= found
+        found |= joins
+    return found
 
 
 def test_cosets_match_the_closure_in_s4(monoids):
@@ -987,13 +1042,7 @@ def test_cosets_match_the_closure_in_s4(monoids):
     product, full = table.product, (1 << table.size) - 1
     units = ranks._Search(table, None).units
     assert units == (1 << 24) - 1
-    subgroups = {core._closure_mask(1 << a | 1 << b, product, full)
-                 for a in range(24) for b in range(24)}
-    grown = True
-    while grown:
-        joins = {core._closure_mask(k | 1 << x, product, full) for k in subgroups for x in range(24)}
-        grown = not joins <= subgroups
-        subgroups |= joins
+    subgroups = subgroups_of(table, 24)
     assert len(subgroups) == 30
     sizes = set()
     for k in subgroups:
@@ -1014,3 +1063,35 @@ def test_chain_holds_on_every_report(monoids, b_tables, random_tables):
     for table in tables:
         r = rank_report(table).ranks
         assert r["r1"] <= r["r2"] <= r["r3"] <= r["r4"] <= r["r5"]
+
+
+def test_double_cosets_match_the_definition(monoids):
+    # for every subgroup K and every x outside it, _double_coset gives
+    # {k1*x*k2 : k1, k2 in K}, from a greedy generating set of K, which is
+    # smaller than K but for K = {e}; it misses K and holds x.  S_4, the dihedral group of order 12
+    # and the cyclic group of order 12 have 30, 16 and 6 subgroups; in the
+    # two nonabelian ones some K*x*K holds more than one coset of K, in the
+    # cyclic group each is the one coset x*K
+    for group, count, most in [(monoids[4].aut_subtable(), 30, 4), (dihedral_group(6), 16, 2),
+                               (cyclic_group(12), 6, 1)]:
+        product, full = group.product, (1 << group.size) - 1
+        subgroups = subgroups_of(group, group.size)
+        assert len(subgroups) == count
+        sizes = set()
+        for k in subgroups:
+            members = ids_of(k)
+            gens, held = [], 0
+            for a in members:
+                if not held >> a & 1:
+                    gens.append(a)
+                    held = core._closure_mask(held | 1 << a, product, full)
+            assert held == k
+            for x in range(group.size):
+                if k >> x & 1:
+                    continue
+                expected = sum({1 << product[product[k1][x]][k2] for k1 in members for k2 in members})
+                got = core._double_coset(product, gens, k, x)
+                assert got == expected, (group.product, members, x)
+                assert got >> x & 1 and not got & k
+                sizes.add(got.bit_count() // len(members))
+        assert max(sizes) == most

@@ -88,9 +88,17 @@ def test_symmetric_group_ranks_check_at_n5_and_n6():
         "symmetric-group-ranks", verify.PASS,
         "automorphism subtable has r3 = 4, r4 = 4, expected 4",
     )
-    # n = 6 is skipped before any table or rank is read
-    assert verify._check_symmetric_group_ranks(SimpleNamespace(n=6), None) == verify.CheckResult(
-        "symmetric-group-ranks", verify.SKIPPED, "subset search capped at n <= 5, got n=6"
+    # a walk of End(B_6) cut by its budget leaves S_6's ranks inexact, and the
+    # check is skipped before the table is read
+    cut = SearchOutcome(5, (1, 2, 6, 24, 120), False, "pruned-search")
+    assert verify._check_symmetric_group_ranks(
+        SimpleNamespace(n=6), {"r3": cut, "r4": cut}
+    ) == verify.CheckResult(
+        "symmetric-group-ranks", verify.SKIPPED, "budget exhausted on the automorphism subtable"
+    )
+    # n = 7 is skipped before any table or rank is read
+    assert verify._check_symmetric_group_ranks(SimpleNamespace(n=7), None) == verify.CheckResult(
+        "symmetric-group-ranks", verify.SKIPPED, "subset search capped at n <= 6, got n=7"
     )
 
 
