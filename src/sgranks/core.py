@@ -221,75 +221,57 @@ def _adjoin(product, gens: list[int], mask: int, x: int, full_mask: int) -> int:
     return _grow(product, gens + [x], grown, frontier, full_mask)
 
 
-def _cosets(product, gens: list[int], group: int, x: int, units: int) -> int:
-    """<group + {x}> as a mask, where group is a closed nonempty set of
-    units, x a unit outside it, gens generate the group, with x last, and
-    units is the group of units G.
+def _cosets(product, gens: list[int], group: int, x: int, units: int) -> tuple[int, int]:
+    """(<K + {x}>, K*x*K) as masks, where group is a closed nonempty set K
+    of units that gens generate, x a unit outside it, and units is the
+    group of units G.
 
-    group is a subgroup K of the finite group of units, so <K + {x}> is a
-    group H and a union of left cosets r*K (Dimino's algorithm; Butler,
-    Fundamental Algorithms for Permutation Groups, 1991).  Each new
-    representative r adds its whole coset: |K| lookups, each a new element,
-    as r*K is disjoint from the cosets held when r is not in them.  Then
-    only g*r is tested for g in gens, since g*(r*K) = (g*r)*K by
-    associativity, which every search assumes: the union is
-    closed under left multiplication by every generator of H, so it holds
-    every product of them, and it is H.  K itself needs no test, as g*K = K
-    for g in K, and x*K is the first coset added.
+    K is a subgroup of the finite group G, so <K + {x}> is a group H and a
+    union of left cosets r*K (Dimino's algorithm; Butler, Fundamental
+    Algorithms for Permutation Groups, 1991).  Each new representative r
+    adds its whole coset: |K| lookups, each a new element, as r*K is
+    disjoint from the cosets held when r is not in them.  Then only g*r is
+    tested for each generator g, since g*(r*K) = (g*r)*K by associativity,
+    which every search assumes.  K itself needs no test, as g*K = K for g
+    in K, and x*K is the first coset added.
 
-    H is a subgroup of G, so by Lagrange |H| divides |G|, and H is G once
-    it holds more than |G|/2 elements: once the 1 + len(reps) cosets held
-    number more than most = |G| // (2|K|).  Then units is returned at once.
-    At exactly |G|/2 elements, as for A_4 in S_4, H may be proper, and the
-    growth goes on.
+    The growth runs in two stages over one list of representatives.  The
+    first, from x*K under gens alone, closes the union under left products
+    by K, so the cosets added are the double coset K*x*K (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).  The second
+    goes on under gens + [x]: the union is then closed under left products
+    by every generator of H, so it holds every product of them, and it is H.
+
+    By Lagrange |H| divides |G|, and H is G once it holds more than |G|/2
+    elements: once the 1 + len(reps) cosets held number more than
+    most = |G| // (2|K|).  Then units is returned at once, but only once
+    K*x*K is whole.  At exactly |G|/2 elements, as for A_4 in S_4, H may
+    be proper, and the growth goes on.
     """
     members = list(_iter_bits(group))
     most = units.bit_count() // (2 * len(members))
+    held = group
     row = product[x]
     for k in members:
-        group |= 1 << row[k]
+        held |= 1 << row[k]
     reps = [x]
-    if len(reps) >= most:
-        return units
-    for r in reps:  # the loop also visits the representatives appended below
-        for g in gens:
-            c = product[g][r]
-            if not group >> c & 1:
-                row = product[c]
-                for k in members:
-                    group |= 1 << row[k]
-                reps.append(c)
-                if len(reps) >= most:
-                    return units
-    return group
-
-
-def _double_coset(product, gens: list[int], group: int, x: int) -> int:
-    """The double coset K*x*K as a mask, where group is a finite group K
-    that gens generate and x lies outside it.
-
-    K*x*K is the union of the left cosets r*K for r in K*x, grown as in
-    _cosets from x*K: g*(r*K) = (g*r)*K, so a new representative is
-    needed only where g*r, for g in gens, lies in no coset held, and the
-    union is closed under left products by gens, hence by K.  Each coset
-    costs |K| lookups, all new, so the whole costs |K*x*K| lookups and
-    |gens| tests per coset.  It holds x, and misses K as x does.
-    """
-    members = list(_iter_bits(group))
-    cosets = 0
-    row = product[x]
-    for k in members:
-        cosets |= 1 << row[k]
-    reps = [x]
-    for r in reps:  # the loop also visits the representatives appended below
-        for g in gens:
-            c = product[g][r]
-            if not cosets >> c & 1:
-                row = product[c]
-                for k in members:
-                    cosets |= 1 << row[k]
-                reps.append(c)
-    return cosets
+    double = 0  # K*x*K, once the first stage is over
+    for step in (gens, gens + [x]):
+        for r in reps:  # the loop also visits the representatives appended below
+            for g in step:
+                c = product[g][r]
+                if not held >> c & 1:
+                    row = product[c]
+                    for k in members:
+                        held |= 1 << row[k]
+                    reps.append(c)
+                    if double and len(reps) >= most:
+                        return units, double
+        if not double:
+            double = held ^ group
+            if len(reps) >= most:
+                return units, double
+    return held, double
 
 
 def _closure_mask(mask: int, product, full_mask: int) -> int:
@@ -430,7 +412,8 @@ def parse_table_text(text: str) -> SemigroupTable:
     The count and the entries are integers in plain decimal, as
     format_table_text writes them; any other spelling is refused, an
     entry's with its row and token.  An entry outside 0..N-1 gets
-    SemigroupTable's out-of-range message.
+    SemigroupTable's out-of-range message.  Labels must be distinct, as a
+    label names one element; the first repeated one is named in the error.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -463,4 +446,8 @@ def parse_table_text(text: str) -> SemigroupTable:
         labels = lines[n + 1].split()
         if len(labels) != n:
             raise ValueError(f"label line has {len(labels)} entries, expected {n}")
+        if len(set(labels)) != n:
+            # quadratic, but only on the way to the error
+            repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+            raise ValueError(f"label {repeated!r} names more than one element")
     return SemigroupTable.from_rows(rows, labels)

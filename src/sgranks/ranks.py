@@ -104,12 +104,9 @@ class _Search:
     memo[x][mask] is <mask + {x}> for a closed mask.  r2 adjoins through
     adjoin(); the walk reads a hit from the memo itself and calls adjoin()
     only on a miss, so adjoin() is the memo's one writer, and it empties the
-    memo when a miss would pass _MEMO_ENTRIES entries.  A miss that grows a
-    subgroup K = mask by cosets also stores its closure under (K, y) for
-    every y in the double coset K*x*K, as <K + {y}> = <K + {x}>, while room
-    lasts (see _fill).  The memo changes no value, witness or tick: each
-    caller passes mask = <gens>, so the result is <mask + {x}>, fixed by
-    (mask, x) alone.
+    memo when a miss would pass _MEMO_ENTRIES entries.  The memo changes
+    no value, witness or tick: each caller passes mask = <gens>, so the
+    result is <mask + {x}>, fixed by (mask, x) alone.
     """
 
     def __init__(self, table: SemigroupTable, budget: Budget | None):
@@ -121,9 +118,10 @@ class _Search:
 
     def adjoin(self, gens: list[int], mask: int, x: int) -> int:
         """<gens + [x]>, given mask = <gens>: a right zero x seeds the growth
-        alone, a unit x joined to a nonempty closed set of units grows coset
-        by coset (core._cosets), any other x by core._adjoin.  A coset
-        growth's closure is stored for the whole double coset (see _fill).
+        alone, a unit x joined to a nonempty closed set of units K grows
+        coset by coset (core._cosets), any other x by core._adjoin.  The
+        coset growth also gives the double coset K*x*K, and its closure is
+        stored under (K, y) for every y there (see _fill).
 
         A right zero x has s*x = x for every s, so of core._adjoin's seeds x
         and s*x for s in mask only x is there, and core._grow from x alone
@@ -144,11 +142,9 @@ class _Search:
             elif self.right_zeros >> x & 1:
                 cl = core._grow(self.product, gens + [x], mask | 1 << x, [x], self.full)
             elif mask and not (mask | 1 << x) & ~self.units:
-                cl = core._cosets(self.product, gens + [x], mask, x, self.units)
-                # x's own entry, with its room taken above, is stored below;
-                # the trivial K = {e} has K*x*K = {x}
-                if mask & mask - 1:
-                    self._fill(core._double_coset(self.product, gens, mask, x) ^ 1 << x, mask, cl)
+                cl, double = core._cosets(self.product, gens, mask, x, self.units)
+                # x's own entry, with its room taken above, is stored below
+                self._fill(double ^ 1 << x, mask, cl)
             else:
                 cl = core._adjoin(self.product, gens, mask, x, self.full)
             seen[mask] = cl
@@ -156,8 +152,8 @@ class _Search:
 
     def _fill(self, ys: int, mask: int, cl: int) -> None:
         """Store cl = <mask + {y}> for each y in ys, the double coset
-        K*x*K of K = mask less x, that has no entry yet, while room lasts;
-        it never empties the memo.
+        K*x*K of the subgroup K = mask less x, that has no entry yet, while
+        room lasts; it never empties the memo.
 
         y = k1*x*k2 lies in <K + {x}>, and x = k1^-1*y*k2^-1 in <K + {y}>,
         so the two closures are one.

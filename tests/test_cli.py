@@ -209,6 +209,11 @@ def test_ranks_rejects_malformed_table(capsys, tmp_path):
     assert code == 1 and "cannot read table" in err
     code, _, err = run(capsys, "ranks", "--table", str(tmp_path / "missing.tbl"))
     assert code == 1
+    # a certificate names elements by label, so labels that repeat are refused
+    bad.write_text("2\n0 0\n0 1\na a\n")
+    code, out, err = run(capsys, "ranks", "--table", str(bad), "--json")
+    assert code == 1 and out == ""
+    assert "cannot read table: label 'a' names more than one element" in err
 
 
 def test_ranks_out_file(capsys, tmp_path):
@@ -319,7 +324,7 @@ def test_conjecture_rejects_n1(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("command", [["ranks", "--json"], ["verify"], ["conjecture", "--json"]])
 def test_stdout_matches_golden(capsys, command, n):
     # stdout byte for byte as recorded in tests/golden, values, witnesses and

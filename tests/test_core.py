@@ -215,6 +215,18 @@ def test_text_format_parse_errors():
             parse_table_text(bad)
 
 
+def test_text_format_refuses_repeated_labels():
+    # a label names one element, so a label line that repeats one is refused,
+    # naming the first label met a second time
+    with pytest.raises(ValueError, match="^label 'a' names more than one element$"):
+        parse_table_text("2\n0 0\n0 1\na a\n")
+    with pytest.raises(ValueError, match="^label 'b' names more than one element$"):
+        parse_table_text("3\n0 0 0\n0 1 2\n0 2 1\na b b\n")
+    # in a b b a, b is met a second time before a is
+    with pytest.raises(ValueError, match="^label 'b' names more than one element$"):
+        parse_table_text("4\n" + "0 0 0 0\n" * 4 + "a b b a\n")
+
+
 def _old_format_rows(table):
     """The row lines as the text format has always rendered them."""
     return [" ".join(map(str, row)) for row in table.product]

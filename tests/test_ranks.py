@@ -1049,7 +1049,7 @@ def test_cosets_match_the_closure_in_s4(monoids):
         gens = list(core._iter_bits(k))
         for x in range(24):
             if not k >> x & 1:
-                got = core._cosets(product, gens + [x], k, x, units)
+                got, _ = core._cosets(product, gens, k, x, units)
                 expected = core._grow(product, gens + [x], k | 1 << x, gens + [x], full)
                 assert got == expected, (gens, x)
                 sizes.add(got.bit_count())
@@ -1066,9 +1066,10 @@ def test_chain_holds_on_every_report(monoids, b_tables, random_tables):
 
 
 def test_double_cosets_match_the_definition(monoids):
-    # for every subgroup K and every x outside it, _double_coset gives
-    # {k1*x*k2 : k1, k2 in K}, from a greedy generating set of K, which is
-    # smaller than K but for K = {e}; it misses K and holds x.  S_4, the dihedral group of order 12
+    # for every subgroup K and every x outside it, _cosets gives the closure
+    # <K + {x}> and the double coset {k1*x*k2 : k1, k2 in K}, from a greedy
+    # generating set of K, which is smaller than K but for K = {e}; the
+    # double coset misses K and holds x.  S_4, the dihedral group of order 12
     # and the cyclic group of order 12 have 30, 16 and 6 subgroups; in the
     # two nonabelian ones some K*x*K holds more than one coset of K, in the
     # cyclic group each is the one coset x*K
@@ -1090,7 +1091,8 @@ def test_double_cosets_match_the_definition(monoids):
                 if k >> x & 1:
                     continue
                 expected = sum({1 << product[product[k1][x]][k2] for k1 in members for k2 in members})
-                got = core._double_coset(product, gens, k, x)
+                cl, got = core._cosets(product, gens, k, x, full)
+                assert cl == core._closure_mask(k | 1 << x, product, full), (group.product, members, x)
                 assert got == expected, (group.product, members, x)
                 assert got >> x & 1 and not got & k
                 sizes.add(got.bit_count() // len(members))
