@@ -119,9 +119,13 @@ class _Search:
     def adjoin(self, gens: list[int], mask: int, x: int) -> int:
         """<gens + [x]>, given mask = <gens>: a right zero x seeds the growth
         alone, a unit x joined to a nonempty closed set of units K grows
-        coset by coset (core._cosets), any other x by core._adjoin.  The
-        coset growth also gives the double coset K*x*K, and its closure is
-        stored under (K, y) for every y there (see _fill).
+        coset by coset (core._cosets), any other x by core._adjoin.
+
+        A miss empties the memo when it is full, then stores x's entry.  A
+        coset growth also gives the double coset K*x*K, and cl is stored
+        under (K, y) for each other y there that has no entry yet, while
+        room lasts: y = k1*x*k2 lies in <K + {x}>, and x = k1^-1*y*k2^-1 in
+        <K + {y}>, so the two closures are one.
 
         A right zero x has s*x = x for every s, so of core._adjoin's seeds x
         and s*x for s in mask only x is there, and core._grow from x alone
@@ -129,44 +133,34 @@ class _Search:
         such as End(B_n)'s under a node budget, and r2's second phase, which
         adjoins each constant of End(B_n) to the whole group of units.
         """
-        seen = self.memo[x]
+        memo = self.memo
+        seen = memo[x]
         cl = seen.get(mask)
         if cl is None:
             if not self.room:
-                for kept in self.memo:
+                for kept in memo:
                     kept.clear()
                 self.room = _MEMO_ENTRIES
-            self.room -= 1
+            double = 1 << x
             if mask >> x & 1:  # first: _cosets would count x*K = K as a new coset
                 cl = mask
             elif self.right_zeros >> x & 1:
                 cl = core._grow(self.product, gens + [x], mask | 1 << x, [x], self.full)
             elif mask and not (mask | 1 << x) & ~self.units:
                 cl, double = core._cosets(self.product, gens, mask, x, self.units)
-                # x's own entry, with its room taken above, is stored below
-                self._fill(double ^ 1 << x, mask, cl)
             else:
                 cl = core._adjoin(self.product, gens, mask, x, self.full)
             seen[mask] = cl
+            ys, room = double ^ 1 << x, self.room - 1
+            while ys and room:
+                low = ys & -ys
+                ys ^= low
+                seen = memo[low.bit_length() - 1]
+                if mask not in seen:
+                    seen[mask] = cl
+                    room -= 1
+            self.room = room
         return cl
-
-    def _fill(self, ys: int, mask: int, cl: int) -> None:
-        """Store cl = <mask + {y}> for each y in ys, the double coset
-        K*x*K of the subgroup K = mask less x, that has no entry yet, while
-        room lasts; it never empties the memo.
-
-        y = k1*x*k2 lies in <K + {x}>, and x = k1^-1*y*k2^-1 in <K + {y}>,
-        so the two closures are one.
-        """
-        memo, room = self.memo, self.room
-        while ys and room:
-            low = ys & -ys
-            ys ^= low
-            seen = memo[low.bit_length() - 1]
-            if mask not in seen:
-                seen[mask] = cl
-                room -= 1
-        self.room = room
 
     @cached_property
     def identity(self) -> int | None:
@@ -201,11 +195,8 @@ class _Search:
     def conjugations(self) -> list[tuple[int, ...]]:
         """The distinct non-identity maps x -> g*x*g^-1, g a unit, as id tuples.
 
-        Each is an automorphism of the (associative) table.  A node budget
-        gets none, so that it counts the nodes of the plain lex walk.
+        Each is an automorphism of the (associative) table.
         """
-        if self.clock.max_nodes is not None:
-            return []
         product, e = self.product, self.identity
         columns = list(zip(*product))
         perms = set()
@@ -217,10 +208,10 @@ class _Search:
         return sorted(perms)
 
 
-def _independent_sets(s: _Search, stop: int | None = None):
+def _independent_sets(s: _Search, stop: int, perms: list[tuple[int, ...]]):
     """Yield (ids, closure_mask) for every independent subset of the ids
-    below stop (all ids by default) that is lex-min in its orbit under
-    s.conjugations, in lex order.
+    below stop that is lex-min in its orbit under the conjugations perms,
+    in lex order.
 
     Carries the closure of the current subset U and, for each a in U, the
     closure of U - {a}; the generators behind each closure are U or U - {a}, so
@@ -258,9 +249,7 @@ def _independent_sets(s: _Search, stop: int | None = None):
     as the root's do.  With no conjugations guards and every delta are 0,
     and every candidate passes.
     """
-    perms = s.conjugations
     last = len(s.product) - 1
-    stop = last + 1 if stop is None else stop
     width = (last + 1) // 8 + 1  # W / 8 = ceil((N + 1)/8) bytes per field
     onehot = [(1 << last - y).to_bytes(width, "little") for y in range(last + 1)]  # id y's field
     ones = int.from_bytes(onehot[last] * len(perms), "little")  # bit 0 of every field
@@ -328,34 +317,31 @@ def _splits(s: _Search) -> int:
     the walk over all ids.
 
     This is the split's one statement of scope.  K is the right zeros when
-    the other ids are exactly the group of units G and are 0..|G|-1, and
-    there is no node budget, which walks the plain tree, as for the
-    conjugations.  End(B_n) as built, its n! automorphisms then its n + 1
-    constants, splits at its constants; a right-zero band, with no units,
-    at all its ids, so that A = () is the one set walked.  Other id
-    layouts, such as End(B_n) with its ids shuffled, every other table and
-    every node-budgeted walk get 0: the split with K empty is the walk over
-    all ids.
+    the other ids are exactly the group of units G and are 0..|G|-1.
+    End(B_n) as built, its n! automorphisms then its n + 1 constants,
+    splits at its constants; a right-zero band, with no units, at all its
+    ids, so that A = () is the one set walked.  Other id layouts, such as
+    End(B_n) with its ids shuffled, and every other table get 0: the split
+    with K empty is the walk over all ids.
     """
     units, zeros = s.units, s.right_zeros
     if (
-        s.clock.max_nodes is None
-        and units ^ zeros == s.full  # G and K are disjoint and cover the table
+        units ^ zeros == s.full  # G and K are disjoint and cover the table
         and units & (units + 1) == 0  # the unit ids are 0..|G|-1
     ):
         return zeros
     return 0
 
 
-def _candidates(s: _Search, zeros: int):
+def _candidates(s: _Search, zeros: int, perms: list[tuple[int, ...]]):
     """Yield (A, C, generates) for each candidate A + C of the walk split
-    at zeros = _splits(s): an independent set, and whether it generates
-    the table.
+    at zeros, a mask of right zeros: an independent set, and whether it
+    generates the table.
 
     The walk runs over the ids outside K = zeros, and each independent A
-    comes with C, the lowest id of each orbit of <A> on K (see _walk); it
-    generates iff <A> is all the walked ids.  With K empty C is () and A
-    runs over the sets of _independent_sets.
+    lex-min under perms comes with C, the lowest id of each orbit of <A> on
+    K (see _walk); it generates iff <A> is all the walked ids.  With K
+    empty C is () and A runs over the sets of _independent_sets.
 
     C depends on <A> alone, as c closed under right products by A is
     c*<A>^1, so it is computed once per closure whole = <A> and memoised.
@@ -363,7 +349,7 @@ def _candidates(s: _Search, zeros: int):
     product = s.product
     walked = s.full ^ zeros
     orbit_lows: dict[int, tuple[int, ...]] = {}
-    for ids, whole in _independent_sets(s, walked.bit_length()):
+    for ids, whole in _independent_sets(s, walked.bit_length(), perms):
         lows = orbit_lows.get(whole)
         if lows is None:
             rest, found = zeros, []
@@ -388,7 +374,9 @@ def _walk(s: _Search) -> tuple[SearchOutcome | None, ...]:
     smaller tuple.  The walk runs to its end, and every outcome is exact,
     or to its budget, which leaves every outcome inexact.
 
-    The walk splits at K = _splits(s): the right zeros, the z with s*z = z
+    A node budget walks the plain tree, all ids and no conjugations, so
+    that it counts the same nodes on every version of the walk; any other
+    walk splits at K = _splits(s): the right zeros, the z with s*z = z
     for every s, or no ids.  A nonempty K is an ideal, as t*(z*s) = (t*z)*s = z*s,
     so in a product everything before the last factor from K is absorbed
     by it: for A within the group of units G = S - K and C within K,
@@ -418,35 +406,36 @@ def _walk(s: _Search) -> tuple[SearchOutcome | None, ...]:
     map G to G, so the lex-first largest independent A, and the lex-first
     largest with <A> = G, are lex-min in their orbits and walked; they are
     the r4 and r3 witnesses of G's own walk, in G's ids 0..|G|-1, those of
-    the table restricted to G.
+    the table restricted to G.  Every candidate with <A> = G has the same
+    C, the lowest id of each orbit of G on K, so the candidates that
+    generate rank as their A's do: G's r3 witness is the table's with K's
+    ids dropped.
 
     Scope: the tables _splits names.  With K empty, C is empty and A runs
     over every independent set: the walk over all ids.
     """
-    zeros = _splits(s)
+    plain = s.clock.max_nodes is not None
+    zeros = 0 if plain else _splits(s)
     largest: tuple[int, ...] = ()
     generating: tuple[int, ...] = ()
     unit_largest: tuple[int, ...] = ()
-    unit_generating: tuple[int, ...] = ()
     exact = True
     try:
-        for a, c, generates in _candidates(s, zeros):
+        for a, c, generates in _candidates(s, zeros, [] if plain else s.conjugations):
             ids = a + c
             if _precedes(ids, largest):
                 largest = ids
             if _precedes(a, unit_largest):
                 unit_largest = a
-            if generates:
-                if _precedes(ids, generating):
-                    generating = ids
-                if _precedes(a, unit_generating):
-                    unit_generating = a
+            if generates and _precedes(ids, generating):
+                generating = ids
     except _Exhausted:
         exact = False
     # cannot happen: a smallest generating set is independent, because
     # dropping a redundant member would leave a smaller one
     if exact and not generating:
         raise AssertionError("no independent generating set found by a complete search")
+    unit_generating = tuple(a for a in generating if not zeros >> a & 1)
     found = [
         SearchOutcome(len(ids), ids, exact, "pruned-search")
         for ids in (largest, generating, unit_largest, unit_generating)

@@ -541,9 +541,9 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
     # zero and End(B_4) with its ids shuffled, some K*x*K holds more than x*K,
     # so adjoin's fills store pairs (K, y) that no search met
     contexts = []
-    filled = []  # the entries each fill stores
+    stored = []  # the entries each adjoin stores: none on a hit, x's own on a miss, and the fill's
     init = ranks._Search.__init__
-    fill = ranks._Search._fill
+    adjoin = ranks._Search.adjoin
 
     def tracked(self, *args):
         init(self, *args)
@@ -551,11 +551,12 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
 
     def counted(self, *args):
         room = self.room
-        fill(self, *args)
-        filled.append(room - self.room)
+        got = adjoin(self, *args)
+        stored.append(room - self.room)
+        return got
 
     monkeypatch.setattr(ranks._Search, "__init__", tracked)
-    monkeypatch.setattr(ranks._Search, "_fill", counted)
+    monkeypatch.setattr(ranks._Search, "adjoin", counted)
     grid = direct_product(cyclic_group(3), chain(2))
     units = ids_of(ranks._Search(grid, None).units)
     order = list(units) + [a for a in range(grid.size) if a not in units]
@@ -566,12 +567,14 @@ def test_memo_entries_are_closures(monkeypatch, monoids, random_tables):
     tables = [m.table for m in monoids.values()] + random_tables + [grid, first] + double
     for table in tables:
         contexts.clear()
-        filled.clear()
+        stored.clear()
         # S_4's r5 takes seconds and uses no memo, so its report leaves r1 and r5 out
         rank_report(table, which=("r2", "r3", "r4") if table is s4 else None)
         (s,) = contexts
         assert any(s.memo), table.product
-        assert max(filled, default=0) > 1 or table not in double
+        # no report here reaches the bound, so room - self.room never counts an emptying
+        assert min(stored) >= 0
+        assert max(stored) > 2 or table not in double
         for x, seen in enumerate(s.memo):
             for mask, cl in seen.items():
                 assert core._closure_mask(mask, table.product, s.full) == mask
@@ -595,23 +598,28 @@ def test_memo_is_emptied_at_its_bound(monkeypatch, monoids, random_tables):
     monkeypatch.setattr(ranks, "_MEMO_ENTRIES", cap)
     held = []
     cut = []  # the fills that ran out of room before their last y
+    grown = []  # (K, K*x*K) of each coset growth in the adjoin under way
     adjoin = ranks._Search.adjoin
-    fill = ranks._Search._fill
+    cosets = core._cosets
+
+    def growing(product, gens, group, x, units):
+        cl, double = cosets(product, gens, group, x, units)
+        grown.append((group, double))
+        return cl, double
 
     def watched(self, *args):
+        grown.clear()
         got = adjoin(self, *args)
         held.append(sum(map(len, self.memo)))
         assert held[-1] == cap - self.room
+        for mask, double in grown:
+            if any(mask not in self.memo[y] for y in ids_of(double)):
+                assert self.room == 0
+                cut.append(self)
         return got
 
-    def filling(self, ys, mask, cl):
-        fill(self, ys, mask, cl)
-        if any(mask not in self.memo[y] for y in ids_of(ys)):
-            assert self.room == 0
-            cut.append(self)
-
     monkeypatch.setattr(ranks._Search, "adjoin", watched)
-    monkeypatch.setattr(ranks._Search, "_fill", filling)
+    monkeypatch.setattr(core, "_cosets", growing)
     for table, which, whole in zip(tables, keys, unbounded):
         held.clear()
         cut.clear()
@@ -800,7 +808,6 @@ def conjugations_by_definition(table):
 def test_independent_set_enumeration_matches_definition(monoids):
     from sgranks.ranks import _independent_sets, _Search
 
-    plain = Budget(seconds=None, max_nodes=10**9)  # a node budget walks the plain tree
     s3 = monoids[3].aut_subtable()
     # End(B_3) shuffled puts the images at other bit positions of each field,
     # and its id 0, unlike the others', is moved by some conjugation
@@ -811,18 +818,19 @@ def test_independent_set_enumeration_matches_definition(monoids):
     for table in tables:
         flags = subset_flags(table)
         found = set()
-        for ids, cl in _independent_sets(_Search(table, plain)):
+        # with no conjugations the walk is the plain one
+        for ids, cl in _independent_sets(_Search(table, None), table.size, []):
             # the incrementally adjoined closure matches the one from scratch
             assert cl == flags.closures[sum(1 << a for a in ids)]
             found.add(ids)
         expected = {ids_of(mask) for mask, ind in enumerate(flags.independent) if ind}
         assert found == expected
-        # with no budget the walk keeps one set per orbit of the conjugations,
-        # the lex-min one
+        # with the conjugations the walk keeps one set per orbit, the lex-min one
         perms = conjugations_by_definition(table)
         reps = {ids for ids in expected if all(tuple(sorted(p[a] for a in ids)) >= ids for p in perms)}
         assert len(reps) < len(expected), table.product
-        reduced = {ids for ids, _ in _independent_sets(_Search(table, None))}
+        s = _Search(table, None)
+        reduced = {ids for ids, _ in _independent_sets(s, table.size, s.conjugations)}
         assert reduced == reps, table.product
     # the ticks and subsets of complete walks of End(B_2..5), reduced and
     # plain, as README quotes them for n = 4, 5; perfbench's toy end5-walk
@@ -830,13 +838,14 @@ def test_independent_set_enumeration_matches_definition(monoids):
     # its budget would raise here
     ends = {n: monoids[n].table for n in (2, 3, 4)}
     ends[5] = enumerate_endomorphisms_structural(5).table
-    walks = [(2, None, 20, 16), (2, plain, 23, 22), (3, None, 79, 42), (3, plain, 208, 156),
-             (4, None, 847, 260), (4, plain, 9411, 4618),
-             (5, None, 22803, 3070)]  # End(B_5)'s plain walk takes 1.46M ticks
-    for n, budget, ticks, subsets in walks:
-        s = _Search(ends[n], budget)
-        assert sum(1 for _ in _independent_sets(s)) == subsets, (n, budget)
-        assert s.clock.nodes == ticks, (n, budget)
+    walks = [(2, True, 20, 16), (2, False, 23, 22), (3, True, 79, 42), (3, False, 208, 156),
+             (4, True, 847, 260), (4, False, 9411, 4618),
+             (5, True, 22803, 3070)]  # End(B_5)'s plain walk takes 1.46M ticks
+    for n, reduced, ticks, subsets in walks:
+        s = _Search(ends[n], None)
+        perms = s.conjugations if reduced else []
+        assert sum(1 for _ in _independent_sets(s, s.full.bit_length(), perms)) == subsets, (n, reduced)
+        assert s.clock.nodes == ticks, (n, reduced)
 
 
 def test_packed_fields_at_byte_boundaries():
@@ -858,10 +867,10 @@ def test_packed_fields_at_byte_boundaries():
         assert s.conjugations, table.product
         stop = (s.full ^ ranks._splits(s)).bit_length()
         perms = conjugations_by_definition(table)
-        every = [ids for ids, _ in ranks._independent_sets(ranks._Search(table, plain), stop)]
+        every = [ids for ids, _ in ranks._independent_sets(ranks._Search(table, None), stop, [])]
         reps = [ids for ids in every if all(tuple(sorted(p[a] for a in ids)) >= ids for p in perms)]
         assert len(reps) < len(every), table.product
-        assert [ids for ids, _ in ranks._independent_sets(s, stop)] == reps, table.product
+        assert [ids for ids, _ in ranks._independent_sets(s, stop, s.conjugations)] == reps, table.product
         whole = ranks._walk(ranks._Search(table, None))[:2]
         assert whole == ranks._walk(ranks._Search(table, plain))[:2], table.product
 
@@ -880,14 +889,15 @@ def test_orbit_lows_are_memoised_by_the_closure(monoids):
         zeros = _splits(s)
         assert zeros, table.product
         walked = s.full ^ zeros
-        got = list(_candidates(s, zeros))
+        got = list(_candidates(s, zeros, s.conjugations))
         expected = []
-        for ids, whole in _independent_sets(_Search(table, None), walked.bit_length()):
+        for ids, whole in _independent_sets(_Search(table, None), walked.bit_length(), s.conjugations):
             orbits = {min({c} | {p[c][g] for g in ids_of(whole)}) for c in ids_of(zeros)}
             expected.append((ids, tuple(sorted(orbits)), whole == walked))
         assert got == expected, table.size
     # End(B_5)'s 258 candidates have 26 distinct closures, so C is computed 26 times
-    walk = list(_independent_sets(_Search(end5, None), 120))
+    s = _Search(end5, None)
+    walk = list(_independent_sets(s, 120, s.conjugations))
     assert (len({whole for _, whole in walk}), len(walk)) == (26, 258)
 
 
@@ -909,9 +919,31 @@ def test_conjugations_are_distinct_automorphisms(monoids):
                 perm[p[a][b]] == p[perm[a]][perm[b]]
                 for a in range(table.size) for b in range(table.size)
             )
-    # a node budget counts the nodes of the plain walk, so it gets none
-    assert _Search(monoids[3].table, Budget(seconds=None, max_nodes=10**9)).conjugations == []
-    assert len(_Search(monoids[3].table, Budget(seconds=10**9)).conjugations) == 5
+
+
+def test_node_budget_walks_the_plain_tree(monoids):
+    # the split and the conjugations are facts of the table, which no budget
+    # changes; _walk alone turns both off under a node budget, so that it
+    # counts the nodes of the plain walk: 208 and 9411 ticks on End(B_3) and
+    # End(B_4), against 22 and 422 split at the constants, and with no ranks
+    # of the group of units read off
+    from sgranks.ranks import _Search, _splits, _walk
+
+    plain = Budget(seconds=None, max_nodes=10**9)
+    for n, count, ticks, split_ticks in [(3, 5, 208, 22), (4, 23, 9411, 422)]:
+        table = monoids[n].table
+        constants = sum(1 << c for c in monoids[n].constant_ids)
+        for budget in (None, Budget(seconds=10**9), plain):
+            s = _Search(table, budget)
+            assert _splits(s) == constants, (n, budget)
+            assert len(s.conjugations) == count, (n, budget)
+        s = _Search(table, None)
+        whole = _walk(s)
+        assert s.clock.nodes == split_ticks and whole[2] is not None
+        s = _Search(table, plain)
+        cut = _walk(s)
+        assert s.clock.nodes == ticks and cut[2:] == (None, None)
+        assert cut[:2] == whole[:2] and cut[0].exact
 
 
 def test_reduced_walk_matches_plain_walk(monoids, b_tables, random_tables, degenerate_tables):
@@ -986,7 +1018,7 @@ def test_split_walk_matches_plain_walk(monkeypatch, monoids):
     # budget walks the plain tree: neither splits
     moved = shuffled(monoids[3].table, 1)
     assert not _splits(_Search(moved, None))
-    assert not _splits(_Search(monoids[3].table, plain))
+    assert _walk(_Search(monoids[3].table, plain))[2:] == (None, None)
     assert _walk(_Search(moved, None)) == _walk(_Search(moved, plain))
     # a group has no right zeros, so K is empty and the walk takes all ids
     for group in (cyclic_group(6), monoids[4].aut_subtable()):
@@ -1015,7 +1047,7 @@ def test_split_walk_ticks_and_subsets(monkeypatch, monoids):
     for table, ticks, subsets, calls in [(monoids[4].table, 422, 31, 21), (end5, 17365, 258, 347)]:
         cosets.clear()
         s = _Search(table, None)
-        assert sum(1 for _ in _candidates(s, _splits(s))) == subsets
+        assert sum(1 for _ in _candidates(s, _splits(s), s.conjugations)) == subsets
         assert s.clock.nodes == ticks
         assert len(cosets) == calls
 
