@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import brandt, core, ranks, verify
 from .core import ResourceLimitError
@@ -105,6 +106,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PLAIN_INTS = {int}
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for the values the CLI writes.
+
+    json runs its pure-Python encoder whenever indent is set; this writer
+    joins each list of plain ints (no bools) in one call and quotes strings
+    with json's C quoter. Dicts must have str keys; any scalar other than
+    str, int and None (bool, float) is written by json.dumps itself.
+    """
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(o, nl: str, parts: list[str]) -> None:
+    # nl is the newline and indent that close o; its members sit one step deeper
+    kind = type(o)
+    if kind is str:
+        parts.append(_quote(o))
+    elif kind is int:
+        parts.append(str(o))
+    elif o is None:
+        parts.append("null")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep, nxt = "{" + inner, "," + inner
+        for k, v in o.items():
+            parts.append(sep + _quote(k) + ": ")
+            _json_parts(v, inner, parts)
+            sep = nxt
+        parts.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        sep, nxt = "[" + inner, "," + inner
+        if set(map(type, o)) == _PLAIN_INTS:
+            parts.append(sep + nxt.join(map(str, o)) + nl + "]")
+            return
+        for v in o:
+            parts.append(sep)
+            _json_parts(v, inner, parts)
+            sep = nxt
+        parts.append(nl + "]")
+    else:
+        parts.append(json.dumps(o))
+
+
 def _open_out(path: str | None):
     # --out is opened before the work it receives, so an unwritable path fails at once
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
@@ -133,11 +188,11 @@ def cmd_endo(args) -> int:
         else:
             monoid = enumerate_endomorphisms_structural(args.n)
         if args.json:
-            out.write(json.dumps(monoid.sidecar(), indent=2) + "\n")
+            out.write(_json_text(monoid.sidecar()) + "\n")
         else:
             out.write(core.format_table_text(monoid.table))
             if sidecar:
-                side.write(json.dumps(monoid.sidecar(), indent=2) + "\n")
+                side.write(_json_text(monoid.sidecar()) + "\n")
     _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
     return EXIT_OK
 
@@ -186,7 +241,7 @@ def cmd_ranks(args) -> int:
         budget = ranks.Budget(seconds=args.budget)
         result = ranks.rank_report(table, budget=budget, n=n, which=which)
         if args.json:
-            out.write(json.dumps(result.to_dict(), indent=2) + "\n")
+            out.write(_json_text(result.to_dict()) + "\n")
         else:
             out.write(result.format_text())
     return EXIT_OK
@@ -209,7 +264,7 @@ def cmd_conjecture(args) -> int:
     monoid = enumerate_endomorphisms_structural(args.n)
     report = ranks.verify_conjecture(args.n, budget=ranks.Budget(seconds=args.budget), monoid=monoid)
     if args.json:
-        print(json.dumps(report.to_dict(monoid), indent=2))
+        print(_json_text(report.to_dict(monoid)))
     else:
         lab = monoid.table.label
         names = " ".join(lab(a) for a in report.witness)

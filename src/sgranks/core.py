@@ -379,11 +379,13 @@ def format_table_text(table: SemigroupTable) -> str:
     lines += [" ".join(_pick(row, names)) for row in table.product]
     if table.labels is not None:
         for lab in table.labels:
-            # labels share a whitespace-separated line, so they cannot contain whitespace
-            if not lab or any(ch.isspace() for ch in lab):
+            # labels share a whitespace-separated line, so they cannot be empty or
+            # contain whitespace; str.split() splits at exactly what str.isspace() marks
+            if lab.split() != [lab]:
                 raise ValueError(f"label {lab!r} cannot be written to the text format")
         lines.append(" ".join(table.labels))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without copying the joined text to add it
+    return "\n".join(lines)
 
 
 def _decimal(t: str) -> int | None:

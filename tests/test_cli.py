@@ -1,16 +1,21 @@
+import gc
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sgranks
 from sgranks import cli
 from sgranks.brandt import build_brandt
 from sgranks.core import format_table_text, parse_table_text
-from sgranks.ranks import ConjectureReport, rank_report
+from sgranks.endo import EndoMonoid, enumerate_endomorphisms_oracle, enumerate_endomorphisms_structural
+from sgranks.ranks import ConjectureReport, rank_report, verify_conjecture
 
 from _tablegen import left_zero_band
 
@@ -334,3 +339,78 @@ def test_stdout_matches_golden(capsys, command, n):
     assert code == 0
     expected = (GOLDEN / f"{command[0]}_n{n}.txt").read_text(encoding="utf-8")
     assert out == expected
+
+
+# --- the CLI's JSON writer ---------------------------------------------------
+
+
+def assert_indent2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_json_text_writes_end_bn_element_lists_as_json(n):
+    assert_indent2(enumerate_endomorphisms_structural(n).sidecar())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_json_text_writes_oracle_element_lists_as_json(n):
+    assert_indent2(EndoMonoid(n, enumerate_endomorphisms_oracle(n)).sidecar())
+
+
+def test_json_text_writes_rank_reports_as_json(random_tables):
+    for n in (1, 2, 3, 4, 5):
+        assert_indent2(rank_report(enumerate_endomorphisms_structural(n).table, n=n).to_dict())
+    for table in random_tables:
+        assert_indent2(rank_report(table).to_dict())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_json_text_writes_conjecture_reports_as_json(n):
+    monoid = enumerate_endomorphisms_structural(n)
+    assert_indent2(verify_conjecture(n, monoid=monoid).to_dict(monoid))
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers() | st.booleans())
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+@example({})
+@example({"": [], "a": {}, "b": ()})
+@example({'q"\\\n\t\x00': ["\u00e9", "\u2028", "\U0001f600", "\ud800"]})
+@example([0, 1, True, False, -1, 2**100, -(2**100)])
+@example((1, 2, 3))
+@example([1.0, -0.0, math.inf, -math.inf, math.nan, 1e300])
+@example({"n": None, "x": [None, [[]], [{}], [[1, 2], [3]]]})
+def test_json_text_equals_json_dumps_indent2(value):
+    assert_indent2(value)
+
+
+def test_cli_commands_leave_no_cyclic_garbage(capsys, tmp_path):
+    # with the collector off, each command must free all it allocates by
+    # reference counting, so that when the collector runs cannot move peak memory
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in ("3", "4"):
+            for argv in (
+                ["endo", "--n", n, "--out", str(tmp_path / f"end{n}.tbl")],
+                ["endo", "--n", n, "--json"],
+                ["ranks", "--n", n, "--json"],
+                ["conjecture", "--n", n, "--json"],
+            ):
+                code, _, _ = run(capsys, *argv)
+                assert code == 0
+                assert gc.collect() == 0, argv
+    finally:
+        gc.enable()

@@ -327,6 +327,19 @@ def test_labels_with_whitespace_rejected_on_write():
         format_table_text(t)
 
 
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\u2003b", "\xa0"])
+def test_empty_or_unicode_whitespace_labels_rejected_on_write(label):
+    t = SemigroupTable.from_rows([[0]], labels=[label])
+    with pytest.raises(ValueError, match=r"cannot be written to the text format$"):
+        format_table_text(t)
+
+
+@pytest.mark.parametrize("label", ["phi_(1,2)", "\u03be_\u03b8", "\u00e9\u2014\U0001f600"])
+def test_labels_without_whitespace_written(label):
+    t = SemigroupTable.from_rows([[0]], labels=[label])
+    assert format_table_text(t) == f"1\n0\n{label}\n"
+
+
 # --- engine properties over the random pool ---------------------------------
 
 _pool_index = st.integers(min_value=0, max_value=len(POOL) - 1)
