@@ -20,6 +20,7 @@ from .core import (
     parse_table_text,
     restrict,
     validate,
+    write_table_text,
 )
 from .endo import (
     AUTOMORPHISM,

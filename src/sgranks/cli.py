@@ -173,7 +173,7 @@ def _note(message: str, stdout_taken: bool) -> None:
 def cmd_brandt(args) -> int:
     with _open_out(args.out) as out:
         table = brandt.build_brandt(args.n)
-        out.write(core.format_table_text(table))
+        core.write_table_text(table, out)
     _note(f"|B_{args.n}| = {table.size}", stdout_taken=args.out is None)
     return EXIT_OK
 
@@ -190,7 +190,7 @@ def cmd_endo(args) -> int:
         if args.json:
             out.write(_json_text(monoid.sidecar()) + "\n")
         else:
-            out.write(core.format_table_text(monoid.table))
+            core.write_table_text(monoid.table, out)
             if sidecar:
                 side.write(_json_text(monoid.sidecar()) + "\n")
     _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)

@@ -7,6 +7,7 @@ hot paths work on Python int bitmasks internally.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -28,6 +29,14 @@ class SemigroupTable:
     Construction checks shape, integer entries and entry range only;
     associativity is *not* checked here, so run validate() on untrusted
     input.  Instances are immutable and safe to share between searches.
+
+    The constructor, from_rows, restrict and brandt.build_brandt all run
+    that check.  _from_ids skips it, and only two builders call it, as each
+    has already proved every entry an int id in 0..N-1, so the check would
+    only repeat a pass over all N^2 entries: parse_table_text, when every
+    row was looked up token by token in its dict of ids, and EndoMonoid,
+    whose entries are values of its index of elements or entries of rows
+    already built.
     """
 
     product: tuple[tuple[int, ...], ...]
@@ -78,6 +87,17 @@ class SemigroupTable:
             tuple(tuple(row) for row in rows),
             None if labels is None else tuple(labels),
         )
+
+    @classmethod
+    def _from_ids(cls, product, labels) -> "SemigroupTable":
+        """A table whose caller has proved it valid: product a nonempty tuple
+        of N tuples of N ints in 0..N-1, and labels None or N strings.
+        Runs no check, so only the builders named in the class docstring
+        may call it."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "product", product)
+        object.__setattr__(table, "labels", labels)
+        return table
 
     @property
     def size(self) -> int:
@@ -372,20 +392,34 @@ def _pick(keys, table) -> tuple:
     return itemgetter(*keys)(table)
 
 
-def format_table_text(table: SemigroupTable) -> str:
-    """Render the line-oriented text format: size line, N row lines, optional label line."""
-    names = tuple(map(str, range(table.size)))
-    lines = [str(table.size)]
-    lines += [" ".join(_pick(row, names)) for row in table.product]
-    if table.labels is not None:
-        for lab in table.labels:
+def write_table_text(table: SemigroupTable, out) -> None:
+    """Write the line-oriented text format to out, a text stream, one line
+    at a time: the size line, N row lines and the optional label line.
+
+    Every label is checked before the first write, so a label the format
+    cannot hold raises with nothing written.
+    """
+    labels = table.labels
+    if labels is not None:
+        for lab in labels:
             # labels share a whitespace-separated line, so they cannot be empty or
             # contain whitespace; str.split() splits at exactly what str.isspace() marks
             if lab.split() != [lab]:
                 raise ValueError(f"label {lab!r} cannot be written to the text format")
-        lines.append(" ".join(table.labels))
-    lines.append("")  # the closing newline, without copying the joined text to add it
-    return "\n".join(lines)
+    names = tuple(map(str, range(table.size)))
+    write = out.write
+    write(f"{table.size}\n")
+    for row in table.product:
+        write(" ".join(_pick(row, names)) + "\n")
+    if labels is not None:
+        write(" ".join(labels) + "\n")
+
+
+def format_table_text(table: SemigroupTable) -> str:
+    """The text that write_table_text writes, as one string."""
+    buf = io.StringIO()
+    write_table_text(table, buf)
+    return buf.getvalue()
 
 
 def _decimal(t: str) -> int | None:
@@ -433,6 +467,7 @@ def parse_table_text(text: str) -> SemigroupTable:
     # cannot make it allocate
     ids = {str(a): a for a in range(n)}
     rows = []
+    all_ids = True  # every row so far is a tuple of values of ids
     for i in range(1, n + 1):
         parts = lines[i].split()
         if len(parts) != n:
@@ -441,6 +476,7 @@ def parse_table_text(text: str) -> SemigroupTable:
             rows.append(_pick(parts, ids))
         except KeyError:
             rows.append(_out_of_range(i, parts, ids))
+            all_ids = False
     labels = None
     if len(lines) > n + 1:
         if len(lines) > n + 2:
@@ -452,4 +488,6 @@ def parse_table_text(text: str) -> SemigroupTable:
             # quadratic, but only on the way to the error
             repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
             raise ValueError(f"label {repeated!r} names more than one element")
-    return SemigroupTable.from_rows(rows, labels)
+    if not all_ids:  # SemigroupTable raises, naming the entry out of range
+        return SemigroupTable.from_rows(rows, labels)
+    return SemigroupTable._from_ids(tuple(rows), None if labels is None else tuple(labels))

@@ -277,7 +277,11 @@ class EndoMonoid:
                 for s in generators:
                     derive(known[i], s)
                 i += 1
-        self.table = SemigroupTable.from_rows(rows, [f.label for f in self.elements])
+        # every entry is a value of index or an entry of a row built before, so
+        # the table skips SemigroupTable's check; with no elements there are no
+        # rows, and the checked constructor raises
+        build = SemigroupTable._from_ids if rows else SemigroupTable
+        self.table = build(tuple(rows), tuple(f.label for f in self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -95,6 +95,22 @@ def test_endo_table_output(capsys, monoids):
     assert parse_table_text(out) == monoids[2].table
 
 
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["endo", "--n", "5"], lambda: enumerate_endomorphisms_structural(5).table),
+        (["brandt", "--n", "4"], lambda: build_brandt(4)),
+    ],
+)
+def test_out_file_holds_the_table_text(capsys, tmp_path, argv, build):
+    # the table is written to --out row by row; the file is the one text
+    path = tmp_path / "table.tbl"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == format_table_text(build())
+
+
 def test_endo_json_prints_the_element_list(capsys, monoids):
     code, out, err = run(capsys, "endo", "--n", "2", "--json")
     assert code == 0

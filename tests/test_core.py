@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgranks import core
+from sgranks.brandt import build_brandt
 from sgranks.core import (
     SemigroupTable,
     _adjoin,
@@ -20,6 +22,7 @@ from sgranks.core import (
     parse_table_text,
     restrict,
     validate,
+    write_table_text,
 )
 from sgranks.endo import enumerate_endomorphisms_structural
 from sgranks.ranks import _Search
@@ -242,6 +245,83 @@ def test_text_format_rows_render_as_before():
         assert lines[0] == str(table.size)
         assert lines[1 : table.size + 1] == _old_format_rows(table)
         assert parse_table_text(text) == table
+
+
+def _text_tables():
+    """End(B_1..5), B_1..4 and the pool with its ids shuffled by a seed."""
+    rng = random.Random(31)
+    pool = []
+    for table in POOL:
+        perm = list(range(table.size))
+        rng.shuffle(perm)
+        pool.append(relabel(table, perm))
+    return (
+        [enumerate_endomorphisms_structural(n).table for n in range(1, 6)]
+        + [build_brandt(n) for n in range(1, 5)]
+        + pool
+    )
+
+
+TEXT_TABLES = _text_tables()
+
+
+def _text_by_definition(table):
+    """The text format spelled out line by line from its definition."""
+    lines = [str(table.size), *_old_format_rows(table)]
+    if table.labels is not None:
+        lines.append(" ".join(table.labels))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_text_format_parses_back_to_a_checked_table():
+    # parse skips SemigroupTable's check when every token is an id; the table
+    # it returns must be the one the checked constructor accepts
+    for table in TEXT_TABLES:
+        parsed = parse_table_text(format_table_text(table))
+        assert parsed == table
+        assert parsed == SemigroupTable.from_rows(parsed.product, parsed.labels)
+        assert all(type(v) is int for row in parsed.product for v in row)
+
+
+def test_text_format_rejects_a_mutated_entry():
+    # one random entry of each table respelled in turn: an int outside
+    # 0..N-1 keeps SemigroupTable's message, any other spelling names its token
+    rng = random.Random(31)
+    for table in TEXT_TABLES:
+        n = table.size
+        lines = format_table_text(table).splitlines(keepends=True)
+        i = rng.randrange(1, n + 1)
+        j = rng.randrange(n)
+        cases = [
+            ("-1", rf"^table entry -1 out of range \[0, {n}\)$"),
+            (str(n), rf"^table entry {n} out of range \[0, {n}\)$"),
+        ] + [
+            (token, rf"^row {i} has entry {re.escape(repr(token))}, which is not an element id$")
+            for token in ("1.0", "+1", "01")
+        ]
+        for token, message in cases:
+            parts = lines[i].split()
+            parts[j] = token
+            text = "".join(lines[:i] + [" ".join(parts) + "\n"] + lines[i + 1 :])
+            with pytest.raises(ValueError, match=message):
+                parse_table_text(text)
+
+
+def test_write_table_text_writes_the_format():
+    for table in TEXT_TABLES + special_tables():
+        buf = io.StringIO()
+        assert write_table_text(table, buf) is None
+        assert buf.getvalue() == format_table_text(table) == _text_by_definition(table)
+
+
+def test_write_table_text_checks_labels_before_writing():
+    # the bad label is the last, so a writer that checked while writing
+    # would have written the rows first
+    t = SemigroupTable.from_rows([[0, 0], [0, 1]], labels=["z", "a b"])
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"^label 'a b' cannot be written to the text format$"):
+        write_table_text(t, buf)
+    assert buf.getvalue() == ""
 
 
 def test_text_format_rejects_respelled_tokens():

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from sgranks.brandt import THETA, element_to_id
-from sgranks.core import ResourceLimitError, idempotents, restrict, validate
+from sgranks.core import ResourceLimitError, SemigroupTable, idempotents, restrict, validate
 from sgranks.endo import (
     AUTOMORPHISM,
     NONZERO_CONSTANT,
@@ -343,3 +343,19 @@ def test_sidecar_labels_are_the_element_labels(monoids):
 def test_one_element_monoid_table():
     monoid = EndoMonoid(2, [constant_map(THETA, 2)])
     assert monoid.table.product == ((0,),) and monoid.table.labels == ("xi_theta",)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monoid_table_passes_the_checked_constructor(n):
+    # the build skips SemigroupTable's check, as its entries are ids by
+    # construction; the checked constructor must accept the same table
+    table = enumerate_endomorphisms_structural(n).table
+    assert table == SemigroupTable.from_rows(table.product, table.labels)
+    assert type(table.product) is tuple and type(table.labels) is tuple
+    assert all(type(row) is tuple for row in table.product)
+    assert all(type(v) is int for row in table.product for v in row)
+
+
+def test_monoid_of_no_elements_raises_the_table_error():
+    with pytest.raises(ValueError, match="^a semigroup table needs at least one element$"):
+        EndoMonoid(2, [])
