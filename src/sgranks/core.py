@@ -22,13 +22,26 @@ class ResourceLimitError(RuntimeError):
     """
 
 
+def _check_distinct_labels(labels) -> None:
+    """Raise naming the first label met a second time: a label names one element."""
+    if len(set(labels)) != len(labels):
+        # quadratic, but only on the way to the error
+        repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise ValueError(f"label {repeated!r} names more than one element")
+
+
 @dataclass(frozen=True)
 class SemigroupTable:
     """An N x N multiplication table over element ids 0..N-1.
 
-    Construction checks shape, integer entries and entry range only;
-    associativity is *not* checked here, so run validate() on untrusted
-    input.  Instances are immutable and safe to share between searches.
+    Construction checks the entries in one loop over the rows, in order:
+    each row's length, then its first entry that is not an int (bools are
+    ids), then its first int outside 0..N-1, so the first bad row decides.
+    Labels, when given, are N distinct strings, as a label names one
+    element in every certificate; a repeated one gets parse_table_text's
+    message.  Associativity is *not* checked here, so run validate() on
+    untrusted input.  Instances are immutable and safe to share between
+    searches.
 
     The constructor, from_rows, restrict and brandt.build_brandt all run
     that check.  _from_ids skips it, and only two builders call it, as each
@@ -46,40 +59,22 @@ class SemigroupTable:
         n = len(self.product)
         if n == 0:
             raise ValueError("a semigroup table needs at least one element")
-        # three C-level gates over the whole table; a row of ints (bools
-        # included) sums to an int, and that gate comes before the set, which
-        # would merge 1.0 into 1
-        try:
-            passed = (
-                all(len(row) == n for row in self.product)
-                and all(type(sum(row)) is int for row in self.product)
-                and set().union(*self.product).issubset(range(n))
-            )
-        except TypeError:
-            passed = False
-        if not passed:
-            self._check_rows(n)
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("label count must match table size")
-
-    def _check_rows(self, n: int) -> None:
-        """Check shape, integer entries and range row by row; raises at the first bad row."""
         for row in self.product:
             if len(row) != n:
                 raise ValueError("product table must be square")
-            # only a row that does not sum to an int is scanned for its first
-            # non-integer entry
-            try:
-                integral = type(sum(row)) is int
-            except TypeError:
-                integral = False
-            if not integral:
-                for v in row:
-                    if not isinstance(v, int):
-                        raise ValueError(f"table entry {v!r} is not an integer")
+            for v in row:
+                if not isinstance(v, int):  # bools are ids
+                    raise ValueError(f"table entry {v!r} is not an integer")
             for v in row:
                 if not 0 <= v < n:
                     raise ValueError(f"table entry {v} out of range [0, {n})")
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise ValueError("label count must match table size")
+            for lab in self.labels:
+                if not isinstance(lab, str):
+                    raise ValueError(f"label {lab!r} is not a string")
+            _check_distinct_labels(self.labels)
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "SemigroupTable":
@@ -91,9 +86,9 @@ class SemigroupTable:
     @classmethod
     def _from_ids(cls, product, labels) -> "SemigroupTable":
         """A table whose caller has proved it valid: product a nonempty tuple
-        of N tuples of N ints in 0..N-1, and labels None or N strings.
-        Runs no check, so only the builders named in the class docstring
-        may call it."""
+        of N tuples of N ints in 0..N-1, and labels None or N distinct
+        strings.  Runs no check, so only the builders named in the class
+        docstring may call it."""
         table = object.__new__(cls)
         object.__setattr__(table, "product", product)
         object.__setattr__(table, "labels", labels)
@@ -484,10 +479,7 @@ def parse_table_text(text: str) -> SemigroupTable:
         labels = lines[n + 1].split()
         if len(labels) != n:
             raise ValueError(f"label line has {len(labels)} entries, expected {n}")
-        if len(set(labels)) != n:
-            # quadratic, but only on the way to the error
-            repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-            raise ValueError(f"label {repeated!r} names more than one element")
+        _check_distinct_labels(labels)
     if not all_ids:  # SemigroupTable raises, naming the entry out of range
         return SemigroupTable.from_rows(rows, labels)
     return SemigroupTable._from_ids(tuple(rows), None if labels is None else tuple(labels))

@@ -228,6 +228,19 @@ def test_text_format_refuses_repeated_labels():
     # in a b b a, b is met a second time before a is
     with pytest.raises(ValueError, match="^label 'b' names more than one element$"):
         parse_table_text("4\n" + "0 0 0 0\n" * 4 + "a b b a\n")
+    # the constructor holds the same rule, with the same message, so a table
+    # it accepts has labels that name one element each
+    with pytest.raises(ValueError, match="^label 'a' names more than one element$"):
+        SemigroupTable.from_rows([[0, 0], [0, 1]], labels=["a", "a"])
+    with pytest.raises(ValueError, match="^label 'b' names more than one element$"):
+        SemigroupTable([(0,) * 4] * 4, ("a", "b", "b", "a"))
+    # and a label is a string, as the certificates and the text format need
+    for labels, message in [([5, 6], "^label 5 is not a string$"),
+                            (["a", None], "^label None is not a string$"),
+                            ([b"a", "b"], "^label b'a' is not a string$"),
+                            ([5, 5], "^label 5 is not a string$")]:
+        with pytest.raises(ValueError, match=message):
+            SemigroupTable.from_rows([[0, 0], [0, 1]], labels=labels)
 
 
 def _old_format_rows(table):
@@ -265,6 +278,21 @@ def _text_tables():
 TEXT_TABLES = _text_tables()
 
 
+def _labelled_tables():
+    """The pool with distinct, non-empty labels free of whitespace, drawn by a seed."""
+    rng = random.Random(32)
+    letters = "ab_(),.\u03be\u03b8\u00e9\u2014\U0001f600"
+    tables = []
+    for table in POOL:
+        labels = []
+        while len(labels) < table.size:
+            label = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            if label not in labels:
+                labels.append(label)
+        tables.append(SemigroupTable(table.product, tuple(labels)))
+    return tables
+
+
 def _text_by_definition(table):
     """The text format spelled out line by line from its definition."""
     lines = [str(table.size), *_old_format_rows(table)]
@@ -276,7 +304,7 @@ def _text_by_definition(table):
 def test_text_format_parses_back_to_a_checked_table():
     # parse skips SemigroupTable's check when every token is an id; the table
     # it returns must be the one the checked constructor accepts
-    for table in TEXT_TABLES:
+    for table in TEXT_TABLES + _labelled_tables():
         parsed = parse_table_text(format_table_text(table))
         assert parsed == table
         assert parsed == SemigroupTable.from_rows(parsed.product, parsed.labels)
@@ -387,12 +415,62 @@ def test_table_construction_reports_the_first_bad_row():
         ([[5, 0], [0.5, 0]], r"^table entry 5 out of range \[0, 2\)$"),
         ([[0, 1], [0.5]], r"^product table must be square$"),
         ([[0, 1.0], [2, 0]], r"^table entry 1\.0 is not an integer$"),
+        ([[2, 0.5], [0, 1]], r"^table entry 0\.5 is not an integer$"),
         ([[0, -1], [1, 0]], r"^table entry -1 out of range \[0, 2\)$"),
         ([[0, 1], [1, 0], [0, 0]], r"^product table must be square$"),
     ]
     for rows, message in cases:
         with pytest.raises(ValueError, match=message):
             SemigroupTable.from_rows(rows)
+
+
+def _first_entry_error(rows, n):
+    """SemigroupTable's entry message by its definition: rows in order, each
+    for its length, then its first non-int, then its first int outside 0..n-1."""
+    for row in rows:
+        if len(row) != n:
+            return "product table must be square"
+        for v in row:
+            if not isinstance(v, int):
+                return f"table entry {v!r} is not an integer"
+        for v in row:
+            if not 0 <= v < n:
+                return f"table entry {v} out of range [0, {n})"
+    return None
+
+
+def test_table_construction_names_the_first_of_several_faults():
+    # 1-3 faults at seeded rows and columns; the first bad row decides, and in
+    # a row like [n, 0.5] the non-integer is named before the id out of range
+    rng = random.Random(32)
+    tables = (
+        [enumerate_endomorphisms_structural(n).table for n in range(2, 5)]
+        + [build_brandt(n) for n in range(1, 5)]
+        + POOL
+    )
+    seen = set()
+    for table in tables:
+        n = table.size
+        for _ in range(4):
+            rows = [list(row) for row in table.product]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                fault = rng.choice([1.0, 0.5, "1", None, -1, n, "short row", "long row", "row [n, 0.5]"])
+                if fault == "short row":
+                    del rows[i][-1:]
+                elif fault == "long row":
+                    rows[i].append(0)
+                elif fault == "row [n, 0.5]":
+                    rows[i][:2] = [n, 0.5]
+                elif j < len(rows[i]):
+                    rows[i][j] = fault
+            message = _first_entry_error(rows, n)
+            if message is None:  # a short and a long row fault met in one row
+                continue
+            seen.add(next(k for k in ("square", "integer", "range") if k in message))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SemigroupTable.from_rows(rows, table.labels)
+    assert seen == {"square", "integer", "range"}
 
 
 def test_table_construction_accepts_bools_as_ids():
