@@ -22,8 +22,33 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def _check_distinct_labels(labels) -> None:
-    """Raise naming the first label met a second time: a label names one element."""
+def _check_row(row, n: int) -> None:
+    """Raise on a table row that is not N int ids in 0..N-1: on its length,
+    then on its first entry that is not an int (bools are ids), then on its
+    first int outside 0..N-1."""
+    if len(row) != n:
+        raise ValueError("product table must be square")
+    for v in row:
+        if not isinstance(v, int):
+            raise ValueError(f"table entry {v!r} is not an integer")
+    for v in row:
+        if not 0 <= v < n:
+            raise ValueError(f"table entry {v} out of range [0, {n})")
+
+
+def _check_labels(labels) -> None:
+    """Raise on labels that the certificates and the text format cannot use:
+    naming the first that is not a str, then the first that is empty or
+    holds whitespace, then the first met a second time, as a label names
+    one element."""
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise ValueError(f"label {lab!r} is not a string")
+    for lab in labels:
+        # labels share a whitespace-separated line; str.split() splits at
+        # exactly what str.isspace() marks, and yields [] for ""
+        if lab.split() != [lab]:
+            raise ValueError(f"label {lab!r} cannot be written to the text format")
     if len(set(labels)) != len(labels):
         # quadratic, but only on the way to the error
         repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
@@ -34,61 +59,50 @@ def _check_distinct_labels(labels) -> None:
 class SemigroupTable:
     """An N x N multiplication table over element ids 0..N-1.
 
-    Construction checks the entries in one loop over the rows, in order:
-    each row's length, then its first entry that is not an int (bools are
-    ids), then its first int outside 0..N-1, so the first bad row decides.
-    Labels, when given, are N distinct strings, as a label names one
-    element in every certificate; a repeated one gets parse_table_text's
-    message.  Associativity is *not* checked here, so run validate() on
-    untrusted input.  Instances are immutable and safe to share between
-    searches.
+    Construction stores product and labels as tuples, so a table built from
+    lists is hashable and equal to its twin from tuples.  It checks the rows
+    in order by _check_row, so the first bad row decides, then N labels, if
+    given, by _check_labels, so every table can be written as text.
+    Associativity is *not* checked here, so run validate() on untrusted
+    input.  Instances are immutable and safe to share between searches.
 
     The constructor, from_rows, restrict and brandt.build_brandt all run
     that check.  _from_ids skips it, and only two builders call it, as each
     has already proved every entry an int id in 0..N-1, so the check would
-    only repeat a pass over all N^2 entries: parse_table_text, when every
-    row was looked up token by token in its dict of ids, and EndoMonoid,
-    whose entries are values of its index of elements or entries of rows
-    already built.
+    only repeat a pass over all N^2 entries: parse_table_text, whose rows
+    are looked up token by token in a dict of ids, and EndoMonoid, whose
+    entries are values of its index of elements or entries of rows already
+    built.
     """
 
     product: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n = len(self.product)
+        product = tuple(map(tuple, self.product))
+        n = len(product)
         if n == 0:
             raise ValueError("a semigroup table needs at least one element")
-        for row in self.product:
-            if len(row) != n:
-                raise ValueError("product table must be square")
-            for v in row:
-                if not isinstance(v, int):  # bools are ids
-                    raise ValueError(f"table entry {v!r} is not an integer")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range [0, {n})")
+        for row in product:
+            _check_row(row, n)
+        object.__setattr__(self, "product", product)
         if self.labels is not None:
-            if len(self.labels) != n:
+            labels = tuple(self.labels)
+            if len(labels) != n:
                 raise ValueError("label count must match table size")
-            for lab in self.labels:
-                if not isinstance(lab, str):
-                    raise ValueError(f"label {lab!r} is not a string")
-            _check_distinct_labels(self.labels)
+            _check_labels(labels)
+            object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_rows(cls, rows, labels=None) -> "SemigroupTable":
-        return cls(
-            tuple(tuple(row) for row in rows),
-            None if labels is None else tuple(labels),
-        )
+        return cls(rows, labels)
 
     @classmethod
     def _from_ids(cls, product, labels) -> "SemigroupTable":
         """A table whose caller has proved it valid: product a nonempty tuple
-        of N tuples of N ints in 0..N-1, and labels None or N distinct
-        strings.  Runs no check, so only the builders named in the class
-        docstring may call it."""
+        of N tuples of N ints in 0..N-1, and labels None or a tuple of N
+        distinct, non-empty strings free of whitespace.  Runs no check, so
+        only the builders named in the class docstring may call it."""
         table = object.__new__(cls)
         object.__setattr__(table, "product", product)
         object.__setattr__(table, "labels", labels)
@@ -391,23 +405,15 @@ def write_table_text(table: SemigroupTable, out) -> None:
     """Write the line-oriented text format to out, a text stream, one line
     at a time: the size line, N row lines and the optional label line.
 
-    Every label is checked before the first write, so a label the format
-    cannot hold raises with nothing written.
+    Checks nothing: SemigroupTable admits only labels the format can hold.
     """
-    labels = table.labels
-    if labels is not None:
-        for lab in labels:
-            # labels share a whitespace-separated line, so they cannot be empty or
-            # contain whitespace; str.split() splits at exactly what str.isspace() marks
-            if lab.split() != [lab]:
-                raise ValueError(f"label {lab!r} cannot be written to the text format")
     names = tuple(map(str, range(table.size)))
     write = out.write
     write(f"{table.size}\n")
     for row in table.product:
         write(" ".join(_pick(row, names)) + "\n")
-    if labels is not None:
-        write(" ".join(labels) + "\n")
+    if table.labels is not None:
+        write(" ".join(table.labels) + "\n")
 
 
 def format_table_text(table: SemigroupTable) -> str:
@@ -427,24 +433,14 @@ def _decimal(t: str) -> int | None:
     return v if str(v) == t else None
 
 
-def _out_of_range(i: int, parts: list[str], ids: dict[str, int]) -> tuple[int, ...]:
-    """Row i, whose tokens are not all ids, as ints for SemigroupTable to
-    reject as out of range; a token that is not in plain decimal raises,
-    naming it."""
-    for t in parts:
-        if t not in ids and _decimal(t) is None:
-            raise ValueError(f"row {i} has entry {t!r}, which is not an element id")
-    return tuple(map(int, parts))
-
-
 def parse_table_text(text: str) -> SemigroupTable:
     """Parse the output of format_table_text; accepts LF or CRLF and trailing blank lines.
 
     The count and the entries are integers in plain decimal, as
     format_table_text writes them; any other spelling is refused, an
     entry's with its row and token.  An entry outside 0..N-1 gets
-    SemigroupTable's out-of-range message.  Labels must be distinct, as a
-    label names one element; the first repeated one is named in the error.
+    SemigroupTable's out-of-range message.  The first faulty row decides;
+    then a line after the label line, its length and _check_labels do.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -462,24 +458,24 @@ def parse_table_text(text: str) -> SemigroupTable:
     # cannot make it allocate
     ids = {str(a): a for a in range(n)}
     rows = []
-    all_ids = True  # every row so far is a tuple of values of ids
     for i in range(1, n + 1):
         parts = lines[i].split()
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
         try:
             rows.append(_pick(parts, ids))
-        except KeyError:
-            rows.append(_out_of_range(i, parts, ids))
-            all_ids = False
+        except KeyError:  # name the first token not in plain decimal, else _check_row raises
+            for t in parts:
+                if _decimal(t) is None:
+                    raise ValueError(f"row {i} has entry {t!r}, which is not an element id")
+            _check_row(tuple(map(int, parts)), n)
+            raise
     labels = None
     if len(lines) > n + 1:
         if len(lines) > n + 2:
             raise ValueError("unexpected content after the label line")
-        labels = lines[n + 1].split()
+        labels = tuple(lines[n + 1].split())
         if len(labels) != n:
             raise ValueError(f"label line has {len(labels)} entries, expected {n}")
-        _check_distinct_labels(labels)
-    if not all_ids:  # SemigroupTable raises, naming the entry out of range
-        return SemigroupTable.from_rows(rows, labels)
-    return SemigroupTable._from_ids(tuple(rows), None if labels is None else tuple(labels))
+        _check_labels(labels)
+    return SemigroupTable._from_ids(tuple(rows), labels)

@@ -343,13 +343,10 @@ def test_write_table_text_writes_the_format():
 
 
 def test_write_table_text_checks_labels_before_writing():
-    # the bad label is the last, so a writer that checked while writing
-    # would have written the rows first
-    t = SemigroupTable.from_rows([[0, 0], [0, 1]], labels=["z", "a b"])
-    buf = io.StringIO()
+    # the constructor refuses a label the format cannot hold, even the last
+    # one, so no table the writer gets carries it and a write checks nothing
     with pytest.raises(ValueError, match=r"^label 'a b' cannot be written to the text format$"):
-        write_table_text(t, buf)
-    assert buf.getvalue() == ""
+        SemigroupTable.from_rows([[0, 0], [0, 1]], labels=["z", "a b"])
 
 
 def test_text_format_rejects_respelled_tokens():
@@ -382,9 +379,11 @@ def test_text_format_error_messages():
     for bad in ["x", "1.0", "0x1", "1e0"]:
         with pytest.raises(ValueError, match=rf"^row 1 has entry '{bad}', which is not an element id$"):
             parse_table_text(f"2\n0 {bad}\n0 1\n")
-    # a non-integer row is reported before an out-of-range entry in a later row
+    # the first faulty row decides, whichever its fault
     with pytest.raises(ValueError, match="^row 1 has entry 'q', which is not an element id$"):
         parse_table_text("2\n0 q\n0 5\n")
+    with pytest.raises(ValueError, match=r"^table entry 5 out of range \[0, 2\)$"):
+        parse_table_text("2\n0 5\n0 q\n")
 
 
 def test_text_format_row_count_is_checked_before_allocating():
@@ -473,23 +472,135 @@ def test_table_construction_names_the_first_of_several_faults():
     assert seen == {"square", "integer", "range"}
 
 
+def _first_text_error(text):
+    """parse_table_text's message by its definition, for a text whose first
+    line is a count: the lines in order, each row for its token count, then
+    its first token not in plain decimal, then its first int outside 0..n-1;
+    then a line after the label line, the label count and a repeated label."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    n = int(lines[0])
+    if len(lines) < n + 1:
+        return f"expected {n} table rows, found {len(lines) - 1}"
+    for i in range(1, n + 1):
+        parts = lines[i].split()
+        if len(parts) != n:
+            return f"row {i} has {len(parts)} entries, expected {n}"
+        for t in parts:
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", t):
+                return f"row {i} has entry {t!r}, which is not an element id"
+        for t in parts:
+            if not 0 <= int(t) < n:
+                return f"table entry {t} out of range [0, {n})"
+    if len(lines) > n + 2:
+        return "unexpected content after the label line"
+    if len(lines) == n + 2:
+        labels = lines[n + 1].split()
+        if len(labels) != n:
+            return f"label line has {len(labels)} entries, expected {n}"
+        for k, lab in enumerate(labels):
+            if lab in labels[:k]:
+                return f"label {lab!r} names more than one element"
+    return None
+
+
+def test_text_format_names_the_first_of_several_faults():
+    # 1-3 faults at seeded lines and columns: a respelled token, an int out
+    # of range, a short or long row, a repeated or short label line (added
+    # when the table has none) and a trailing line; the first faulty line decides
+    rng = random.Random(33)
+    tables = (
+        [enumerate_endomorphisms_structural(n).table for n in range(1, 5)]
+        + [build_brandt(n) for n in range(1, 4)]
+        + POOL
+    )
+    faults = ["x", "1.0", "+1", "01", "-0", "-1", "N", "short row", "long row",
+              "repeated label", "short label line", "trailing line"]
+    # each message by a phrase of it; "row" last, as the token message holds it too
+    kinds = ("element id", "out of range", "after the label", "label line has", "more than one", "row")
+    seen = set()
+    for table in tables:
+        n = table.size
+        names = list(table.labels or (f"e{a}" for a in range(n)))
+        for _ in range(8):
+            lines = format_table_text(table).splitlines()
+            for _ in range(rng.randint(1, 3)):
+                fault = rng.choice(faults)
+                i, j = rng.randrange(1, n + 1), rng.randrange(n)
+                parts = lines[i].split()
+                labels = list(names)
+                if fault == "short row":
+                    lines[i] = " ".join(parts[:-1])
+                elif fault == "long row":
+                    lines[i] = " ".join(parts + ["0"])
+                elif fault == "trailing line":
+                    lines.append("extra")
+                elif fault in ("repeated label", "short label line"):
+                    if fault == "short label line":
+                        del labels[-1]
+                    elif n > 1:
+                        k = rng.randrange(1, n)
+                        labels[k] = labels[rng.randrange(k)]
+                    del lines[n + 1 : n + 2]
+                    lines.insert(n + 1, " ".join(labels))
+                elif j < len(parts):
+                    parts[j] = str(n) if fault == "N" else fault
+                    lines[i] = " ".join(parts)
+            text = "".join(line + "\n" for line in lines)
+            message = _first_text_error(text)
+            if message is None:  # the faults met and undid each other
+                parse_table_text(text)
+                continue
+            seen.add(next(k for k in kinds if k in message))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_table_text(text)
+    assert seen == set(kinds)
+
+
 def test_table_construction_accepts_bools_as_ids():
     t = SemigroupTable.from_rows([[False, True], [True, False]])
     assert t == SemigroupTable.from_rows([[0, 1], [1, 0]])
     assert format_table_text(t) == "2\n0 1\n1 0\n"
+    # list rows and labels given to the constructor are stored as tuples, so
+    # the table validates, hashes and equals its from_rows twin
+    for t, labels in [(SemigroupTable([[0, 1], [1, 0]]), None),
+                      (SemigroupTable(([0, 1], [1, 0]), ["a", "b"]), ("a", "b"))]:
+        assert validate(t).ok
+        twin = SemigroupTable.from_rows(((0, 1), (1, 0)), labels)
+        assert t == twin and hash(t) == hash(twin)
+        assert t.product == ((0, 1), (1, 0)) and t.labels == labels
 
 
 def test_labels_with_whitespace_rejected_on_write():
-    t = SemigroupTable.from_rows([[0]], labels=["a b"])
-    with pytest.raises(ValueError):
-        format_table_text(t)
+    # refused at construction, so no table with it reaches the writer
+    with pytest.raises(ValueError, match=r"^label 'a b' cannot be written to the text format$"):
+        SemigroupTable.from_rows([[0]], labels=["a b"])
 
 
 @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a\u2003b", "\xa0"])
 def test_empty_or_unicode_whitespace_labels_rejected_on_write(label):
-    t = SemigroupTable.from_rows([[0]], labels=[label])
-    with pytest.raises(ValueError, match=r"cannot be written to the text format$"):
-        format_table_text(t)
+    # refused at construction, so no table with it reaches the writer
+    message = rf"^label {re.escape(repr(label))} cannot be written to the text format$"
+    with pytest.raises(ValueError, match=message):
+        SemigroupTable.from_rows([[0]], labels=[label])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=5))
+def test_labels_accepted_exactly_when_writable(labels):
+    # a label list is accepted exactly when each label is one token of a
+    # whitespace-split line and none repeats; every accepted table round-trips
+    n = len(labels)
+    rows = [[0] * n] * n  # the null semigroup
+    if not (all(lab.split() == [lab] for lab in labels) and len(set(labels)) == n):
+        with pytest.raises(ValueError):
+            SemigroupTable.from_rows(rows, labels)
+        return
+    table = SemigroupTable.from_rows(rows, labels)
+    text = format_table_text(table)
+    parsed = parse_table_text(text)
+    assert parsed == table and format_table_text(parsed) == text
 
 
 @pytest.mark.parametrize("label", ["phi_(1,2)", "\u03be_\u03b8", "\u00e9\u2014\U0001f600"])
