@@ -66,13 +66,14 @@ class SemigroupTable:
     Associativity is *not* checked here, so run validate() on untrusted
     input.  Instances are immutable and safe to share between searches.
 
-    The constructor, from_rows, restrict and brandt.build_brandt all run
-    that check.  _from_ids skips it, and only two builders call it, as each
-    has already proved every entry an int id in 0..N-1, so the check would
-    only repeat a pass over all N^2 entries: parse_table_text, whose rows
-    are looked up token by token in a dict of ids, and EndoMonoid, whose
-    entries are values of its index of elements or entries of rows already
-    built.
+    The constructor, from_rows and brandt.build_brandt run that check.
+    _from_ids skips it, and only three builders call it, as each has
+    already proved every entry an int id in 0..N-1 and every label one of a
+    checked table, so the check would only repeat a pass over all N^2
+    entries: parse_table_text, whose rows are looked up token by token in a
+    dict of ids, EndoMonoid, whose entries are values of its index of
+    elements or entries of rows already built, and restrict, whose entries
+    are values of its index of the subset and whose labels are the table's.
     """
 
     product: tuple[tuple[int, ...], ...]
@@ -356,39 +357,48 @@ def is_prime_subset(subset: Iterable[int], table: SemigroupTable) -> bool:
     """True iff every product that lands in subset has at least one factor in subset.
 
     Prime subsets are nonempty by definition, so an empty subset is an input
-    error rather than vacuously prime.
+    error rather than vacuously prime.  Equivalently, no product of two ids
+    outside lands inside: for each id a outside, its row read at the ids
+    outside, in one C-level lookup, is disjoint from the subset.
     """
+    ids = list(subset)
     n = table.size
-    mask = _mask_from_ids(subset, n)
-    if mask == 0:
+    if _mask_from_ids(ids, n) == 0:
         raise ValueError("prime subsets are nonempty by definition")
-    p = table.product
-    for a in range(n):
-        a_in = mask >> a & 1
-        row = p[a]
-        for b in range(n):
-            if mask >> row[b] & 1 and not (a_in or mask >> b & 1):
-                return False
-    return True
+    inside = set(ids)
+    outside = sorted(set(range(n)) - inside)
+    if not outside:  # the whole table
+        return True
+    rows = _pick(outside, table.product)
+    if len(outside) == 1:  # itemgetter of a single key returns the item, not a 1-tuple
+        return inside.isdisjoint(_pick(outside, rows[0]))
+    return all(map(inside.isdisjoint, map(itemgetter(*outside), rows)))
 
 
 def restrict(table: SemigroupTable, subset: Iterable[int]) -> SemigroupTable:
-    """Subtable on a product-closed subset, renumbered in ascending id order."""
+    """Subtable on a product-closed subset, renumbered in ascending id order.
+
+    Each row is read at the subset's ids and renumbered through its index
+    in two C-level lookups.  A product outside the subset misses the index,
+    and the first such pair (a, b) in row-major order is named.
+    """
     ids = sorted(set(subset))
     if not ids:
         raise ValueError("cannot restrict to the empty set")
     _mask_from_ids(ids, table.size)  # ascending, so an error names the lowest bad id
     index = {a: i for i, a in enumerate(ids)}
     p = table.product
+    rows = []
     for a in ids:
-        for b in ids:
-            if p[a][b] not in index:
-                raise ValueError(
-                    f"subset is not closed: {a}*{b} = {p[a][b]} lies outside it"
-                )
-    rows = [[index[p[a][b]] for b in ids] for a in ids]
-    labels = None if table.labels is None else [table.labels[a] for a in ids]
-    return SemigroupTable.from_rows(rows, labels)
+        products = _pick(ids, p[a])
+        try:
+            rows.append(_pick(products, index))
+        except KeyError:
+            b, c = next((b, c) for b, c in zip(ids, products) if c not in index)
+            raise ValueError(f"subset is not closed: {a}*{b} = {c} lies outside it") from None
+    labels = None if table.labels is None else _pick(ids, table.labels)
+    # every entry is a value of index and every label one of a checked table
+    return SemigroupTable._from_ids(tuple(rows), labels)
 
 
 def _pick(keys, table) -> tuple:
@@ -439,8 +449,9 @@ def parse_table_text(text: str) -> SemigroupTable:
     The count and the entries are integers in plain decimal, as
     format_table_text writes them; any other spelling is refused, an
     entry's with its row and token.  An entry outside 0..N-1 gets
-    SemigroupTable's out-of-range message.  The first faulty row decides;
-    then a line after the label line, its length and _check_labels do.
+    SemigroupTable's out-of-range message.  The first faulty line decides:
+    the rows in order, then the label line by its length and _check_labels,
+    then a line after it.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -472,10 +483,10 @@ def parse_table_text(text: str) -> SemigroupTable:
             raise
     labels = None
     if len(lines) > n + 1:
-        if len(lines) > n + 2:
-            raise ValueError("unexpected content after the label line")
         labels = tuple(lines[n + 1].split())
         if len(labels) != n:
             raise ValueError(f"label line has {len(labels)} entries, expected {n}")
         _check_labels(labels)
+        if len(lines) > n + 2:
+            raise ValueError("unexpected content after the label line")
     return SemigroupTable._from_ids(tuple(rows), labels)

@@ -164,11 +164,12 @@ def _word_law_holds(m: EndoMonoid, row_law) -> bool:
 def _flags(member: bytes, row) -> int:
     """member[b] for each entry b of row, one byte per column, as an int.
 
-    member holds a 0 or 1 per id.  The map and the bytes are built in C, so a
-    row costs no Python frame per entry, and two rows' flags compare, or
-    mask each other, column by column as one int.
+    member holds a 0 or 1 per id.  The row is looked up in member in one
+    C-level call (core._pick), so it costs no Python frame and no bytecode
+    per entry, and two rows' flags compare, or mask each other, column by
+    column as one int.
     """
-    return int.from_bytes(bytes(map(member.__getitem__, row)), "little")
+    return int.from_bytes(bytes(core._pick(row, member)), "little")
 
 
 def _kind_flags(m: EndoMonoid, kind: str) -> bytes:

@@ -167,7 +167,18 @@ def test_band_and_idempotents():
     assert idempotents(c2) == {0}
 
 
-def test_prime_subset_definition():
+def _prime_by_definition(subset, table):
+    """Every product a*b that lands in subset has a or b in subset."""
+    inside = set(subset)
+    return all(
+        a in inside or b in inside
+        for a in range(table.size)
+        for b in range(table.size)
+        if table.product[a][b] in inside
+    )
+
+
+def test_prime_subset_definition(monoids, b_tables, random_tables):
     c4 = SemigroupTable.from_rows([[(a + b) % 4 for b in range(4)] for a in range(4)])
     # products landing on 1: 2+3, 3+2 (and 0+1, 1+0); {1} misses the first two
     assert not is_prime_subset([1], c4)
@@ -175,20 +186,48 @@ def test_prime_subset_definition():
     assert is_prime_subset(range(4), c4)
     with pytest.raises(ValueError):
         is_prime_subset([], c4)
+    # every singleton and pair, the whole table and seeded random subsets,
+    # against the double loop of the definition
+    rng = random.Random(34)
+    tables = [monoids[n].table for n in (1, 2, 3)] + [b_tables[n] for n in (1, 2, 3)] + random_tables
+    seen = set()
+    for table in tables:
+        n = table.size
+        subsets = [[a] for a in range(n)]
+        subsets += [[a, b] for a in range(n) for b in range(a + 1, n)]
+        subsets.append(range(n))
+        subsets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(20)]
+        for subset in subsets:
+            want = _prime_by_definition(subset, table)
+            seen.add(want)
+            assert is_prime_subset(subset, table) == want, (table, subset)
+    assert seen == {True, False}
 
 
-def test_restrict_requires_closed_subset():
+def test_restrict_requires_closed_subset(monoids, random_tables):
     c4 = SemigroupTable.from_rows([[(a + b) % 4 for b in range(4)] for a in range(4)])
     sub = restrict(c4, [0, 2])
     assert sub.size == 2
     assert sub.product == ((0, 1), (1, 0))
-    with pytest.raises(ValueError):
+    # the first pair in row-major order whose product lies outside is named
+    with pytest.raises(ValueError, match=r"^subset is not closed: 1\*1 = 2 lies outside it$"):
         restrict(c4, [0, 1])
     with pytest.raises(ValueError):
         restrict(c4, [])
     # the ids are checked in ascending order, so the lowest bad one is named
     with pytest.raises(ValueError, match=r"^element id -1 out of range \[0, 4\)$"):
         restrict(c4, [9, 2, -1, 4])
+    # restrict skips SemigroupTable's check; its subtables must be the ones
+    # the checked constructor makes of the same rows and labels
+    rng = random.Random(34)
+    subtables = [enumerate_endomorphisms_structural(n).aut_subtable() for n in range(1, 6)]
+    for table in random_tables:
+        picked = rng.sample(range(table.size), rng.randint(1, table.size))
+        subtables.append(restrict(table, closure(picked, table)))
+    for sub in subtables:
+        assert sub == SemigroupTable.from_rows(sub.product, sub.labels)
+        assert type(sub.product) is tuple and all(type(row) is tuple for row in sub.product)
+        assert all(type(v) is int for row in sub.product for v in row)
 
 
 def test_restrict_keeps_labels():
@@ -384,6 +423,9 @@ def test_text_format_error_messages():
         parse_table_text("2\n0 q\n0 5\n")
     with pytest.raises(ValueError, match=r"^table entry 5 out of range \[0, 2\)$"):
         parse_table_text("2\n0 5\n0 q\n")
+    # the label line comes before a line after it, so it decides first
+    with pytest.raises(ValueError, match="^label line has 1 entries, expected 2$"):
+        parse_table_text("2\n0 0\n0 1\na\nextra\n")
 
 
 def test_text_format_row_count_is_checked_before_allocating():
@@ -476,7 +518,8 @@ def _first_text_error(text):
     """parse_table_text's message by its definition, for a text whose first
     line is a count: the lines in order, each row for its token count, then
     its first token not in plain decimal, then its first int outside 0..n-1;
-    then a line after the label line, the label count and a repeated label."""
+    then the label count and a repeated label, then a line after the label
+    line."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -493,15 +536,15 @@ def _first_text_error(text):
         for t in parts:
             if not 0 <= int(t) < n:
                 return f"table entry {t} out of range [0, {n})"
-    if len(lines) > n + 2:
-        return "unexpected content after the label line"
-    if len(lines) == n + 2:
+    if len(lines) > n + 1:
         labels = lines[n + 1].split()
         if len(labels) != n:
             return f"label line has {len(labels)} entries, expected {n}"
         for k, lab in enumerate(labels):
             if lab in labels[:k]:
                 return f"label {lab!r} names more than one element"
+    if len(lines) > n + 2:
+        return "unexpected content after the label line"
     return None
 
 
