@@ -7,9 +7,11 @@ zero.  Table ids put the zero at 0 and pairs after it in row-major order.
 
 from __future__ import annotations
 
-from .core import SemigroupTable
+from .core import ResourceLimitError, SemigroupTable
 
 THETA = None
+# B_26 has 677 elements, the largest B_n no bigger than End(B_6) (727)
+MAX_N = 26
 
 
 def _check_element(a, n: int) -> None:
@@ -57,9 +59,12 @@ def element_label(a) -> str:
 
 
 def build_brandt(n: int) -> SemigroupTable:
-    """Cayley table of B_n with its n*n + 1 elements labelled."""
+    """Cayley table of B_n with its n*n + 1 elements labelled, for n <= MAX_N:
+    the table holds (n*n + 1)^2 entries."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_N:
+        raise ResourceLimitError(f"n={n} exceeds the Brandt table cap n <= {MAX_N}")
     elements = [id_to_element(eid, n) for eid in range(n * n + 1)]
     rows = [
         [element_to_id(brandt_add(a, b, n), n) for b in elements]

@@ -10,14 +10,15 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds a fixed size cap.
 
     The caps are the structural enumeration at n <= 6, the backtracking
-    oracle at n <= 3 and the reference oracle at 12 elements.  A spent
+    oracle at n <= 3, the Brandt table at n <= 26 (677 elements, no more
+    than End(B_6)'s 727) and the reference oracle at 12 elements.  A spent
     search budget never raises: it flags its records inexact.
     """
 
@@ -149,8 +150,6 @@ def validate(table: SemigroupTable) -> ValidationReport:
     """
     p = table.product
     n = table.size
-    if n == 1:  # [[0]] is the only such table; itemgetter would return a scalar
-        return ValidationReport(True)
     full = (1 << n) - 1
     gens: list[int] = []
     mask = 0
@@ -159,22 +158,17 @@ def validate(table: SemigroupTable) -> ValidationReport:
             mask = _adjoin(p, gens, mask, x, full)
             gens.append(x)
     for b in gens:
-        after_b = itemgetter(*p[b])
+        after_b = _pick(p[b])
         if any(p[pa[b]] != after_b(pa) for pa in p):
             break
     else:
         return ValidationReport(True)
     # after[b](pa) is the row of a*(b*c) over c
-    after = [itemgetter(*row) for row in p]
-    for a in range(n):
-        pa = p[a]
-        for b in range(n):
-            p_ab = p[pa[b]]
-            if p_ab != after[b](pa):
-                pb = p[b]
-                c = next(c for c in range(n) if p_ab[c] != pa[pb[c]])
-                return ValidationReport(False, (a, b, c))
-    return ValidationReport(True)
+    after = list(map(_pick, p))
+    a, b = next((a, b) for a, pa in enumerate(p) for b in range(n) if p[pa[b]] != after[b](pa))
+    pa, pb = p[a], p[b]
+    c = next(c for c in range(n) if p[pa[b]][c] != pa[pb[c]])
+    return ValidationReport(False, (a, b, c))
 
 
 def _mask_from_ids(ids: Iterable[int], n: int) -> int:
@@ -369,10 +363,8 @@ def is_prime_subset(subset: Iterable[int], table: SemigroupTable) -> bool:
     outside = sorted(set(range(n)) - inside)
     if not outside:  # the whole table
         return True
-    rows = _pick(outside, table.product)
-    if len(outside) == 1:  # itemgetter of a single key returns the item, not a 1-tuple
-        return inside.isdisjoint(_pick(outside, rows[0]))
-    return all(map(inside.isdisjoint, map(itemgetter(*outside), rows)))
+    pick = _pick(outside)
+    return all(map(inside.isdisjoint, map(pick, pick(table.product))))
 
 
 def restrict(table: SemigroupTable, subset: Iterable[int]) -> SemigroupTable:
@@ -387,28 +379,31 @@ def restrict(table: SemigroupTable, subset: Iterable[int]) -> SemigroupTable:
         raise ValueError("cannot restrict to the empty set")
     _mask_from_ids(ids, table.size)  # ascending, so an error names the lowest bad id
     index = {a: i for i, a in enumerate(ids)}
-    p = table.product
+    pick = _pick(ids)
     rows = []
-    for a in ids:
-        products = _pick(ids, p[a])
+    for a, row in zip(ids, pick(table.product)):
+        products = pick(row)
         try:
-            rows.append(_pick(products, index))
+            rows.append(_pick(products)(index))
         except KeyError:
             b, c = next((b, c) for b, c in zip(ids, products) if c not in index)
             raise ValueError(f"subset is not closed: {a}*{b} = {c} lies outside it") from None
-    labels = None if table.labels is None else _pick(ids, table.labels)
+    labels = None if table.labels is None else pick(table.labels)
     # every entry is a value of index and every label one of a checked table
     return SemigroupTable._from_ids(tuple(rows), labels)
 
 
-def _pick(keys, table) -> tuple:
-    """The tuple of table[k] for k in keys, looked up in one C-level call.
+def _pick(keys) -> Callable[..., tuple]:
+    """A getter mapping a table to the tuple of its entries at keys, read in
+    one C-level call by an itemgetter, the only one sgranks builds.  For one
+    key, where an itemgetter gives the bare item, the getter gives a 1-tuple.
 
-    Raises KeyError or IndexError for a key that table lacks.
+    The getter raises KeyError or IndexError for a key that table lacks.
     """
-    if len(keys) == 1:  # itemgetter of a single key returns the item, not a 1-tuple
-        return (table[keys[0]],)
-    return itemgetter(*keys)(table)
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda table: (table[key],)
+    return itemgetter(*keys)
 
 
 def write_table_text(table: SemigroupTable, out) -> None:
@@ -421,7 +416,7 @@ def write_table_text(table: SemigroupTable, out) -> None:
     write = out.write
     write(f"{table.size}\n")
     for row in table.product:
-        write(" ".join(_pick(row, names)) + "\n")
+        write(" ".join(_pick(row)(names)) + "\n")
     if table.labels is not None:
         write(" ".join(table.labels) + "\n")
 
@@ -474,7 +469,7 @@ def parse_table_text(text: str) -> SemigroupTable:
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
         try:
-            rows.append(_pick(parts, ids))
+            rows.append(_pick(parts)(ids))
         except KeyError:  # name the first token not in plain decimal, else _check_row raises
             for t in parts:
                 if _decimal(t) is None:

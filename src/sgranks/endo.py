@@ -252,7 +252,7 @@ class EndoMonoid:
             # the row of fs is f's row read at the entries of s's row
             h = rows[f][s]
             if rows[h] is None:
-                rows[h] = _pick(rows[s], rows[f])
+                rows[h] = _pick(rows[s])(rows[f])
                 known.append(h)
 
         for x, key in enumerate(keys):
@@ -260,7 +260,7 @@ class EndoMonoid:
                 continue
             # x is not a product of the generators so far: compose its row by definition
             try:
-                rows[x] = _pick(list(map(key.translate, tables)), index)
+                rows[x] = _pick(list(map(key.translate, tables)))(index)
             except KeyError:
                 f = self.elements[x]
                 g = next(g for g, t in zip(self.elements, tables) if key.translate(t) not in index)

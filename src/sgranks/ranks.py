@@ -203,7 +203,7 @@ class _Search:
         for g in core._iter_bits(self.units):
             h = product[g].index(e)  # g's inverse: gh = e only for h = g^-1
             # x -> (g*x)*h is g's row read through h's column
-            perms.add(core._pick(product[g], columns[h]))
+            perms.add(core._pick(product[g])(columns[h]))
         perms.discard(tuple(range(len(product))))
         return sorted(perms)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import core, ranks, reference
 from .endo import (
@@ -120,13 +119,10 @@ def _check_aut_composition(m: EndoMonoid) -> CheckResult:
     auts = m.automorphism_ids  # 0..n!-1, the first n! entries of each row
     perms = [m.elements[a].perm for a in auts]
     # perm_compose(sigma, tau), sigma first and then tau, is tau read at
-    # sigma's points, so one itemgetter per sigma composes it with every tau.
-    # An itemgetter of one key returns the item, not a 1-tuple, so for n = 1
-    # the permutations are keyed through an itemgetter of as many keys.
-    key = itemgetter(*range(m.n))
-    ids = {key(tau): b for b, tau in enumerate(perms)}
+    # sigma's points, so one getter per sigma composes it with every tau
+    ids = {tau: b for b, tau in enumerate(perms)}
     ok = all(
-        p[a][:len(auts)] == tuple(map(ids.get, map(itemgetter(*[i - 1 for i in sigma]), perms)))
+        p[a][:len(auts)] == tuple(map(ids.get, map(core._pick([i - 1 for i in sigma]), perms)))
         for a, sigma in zip(auts, perms)
     )
     distinct = len(ids) == len(perms)
@@ -164,12 +160,12 @@ def _word_law_holds(m: EndoMonoid, row_law) -> bool:
 def _flags(member: bytes, row) -> int:
     """member[b] for each entry b of row, one byte per column, as an int.
 
-    member holds a 0 or 1 per id.  The row is looked up in member in one
-    C-level call (core._pick), so it costs no Python frame and no bytecode
-    per entry, and two rows' flags compare, or mask each other, column by
-    column as one int.
+    member holds a 0 or 1 per id.  The getter core._pick(row) looks the row
+    up in member in one C-level call, so it costs no Python frame and no
+    bytecode per entry, and two rows' flags compare, or mask each other,
+    column by column as one int.
     """
-    return int.from_bytes(bytes(core._pick(row, member)), "little")
+    return int.from_bytes(bytes(core._pick(row)(member)), "little")
 
 
 def _kind_flags(m: EndoMonoid, kind: str) -> bytes:

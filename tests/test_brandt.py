@@ -1,5 +1,6 @@
 import pytest
 
+from sgranks import brandt
 from sgranks.brandt import (
     THETA,
     brandt_add,
@@ -8,7 +9,7 @@ from sgranks.brandt import (
     element_to_id,
     id_to_element,
 )
-from sgranks.core import closure, idempotents, is_band, validate
+from sgranks.core import ResourceLimitError, closure, idempotents, is_band, validate
 
 
 def test_addition_law():
@@ -44,6 +45,18 @@ def test_indexing_round_trip():
 def test_build_rejects_bad_n():
     with pytest.raises(ValueError):
         build_brandt(0)
+
+
+def test_build_refuses_n_above_the_cap_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("the table build started")
+
+    monkeypatch.setattr(brandt, "id_to_element", never)
+    for n in (27, 10**9):
+        with pytest.raises(ResourceLimitError, match=rf"^n={n} exceeds the Brandt table cap n <= 26$"):
+            build_brandt(n)
+    with pytest.raises(AssertionError):  # B_26 is within the cap
+        build_brandt(26)
 
 
 def test_table_sizes_and_labels():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -38,6 +39,34 @@ def test_brandt_rejects_bad_n(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["brandt", "--n", "0"])
     assert exc.value.code == 1
+
+
+def test_brandt_above_the_cap_exits_one():
+    # run as a process, so that an uncaught error would show its traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(sgranks.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sgranks.cli import main; sys.exit(main(sys.argv[1:]))",
+         "brandt", "--n", "27"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "sgranks brandt: n=27 exceeds the Brandt table cap n <= 26\n"
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1, "4337d29b76d890901acf23dffbf27d9b"),
+    (2, "e700693c5986dbae2d8221e4ca49eb35"),
+    (3, "305e84f141a781cbb32504014979a53e"),
+    (4, "c64543dad63d54ad27e59ac1e43eba15"),
+    (5, "78eb851c85b5e56e1b767704c1c4057d"),
+    (6, "d3782912d82c02fe4157c7f9d0503251"),
+])
+def test_brandt_text_is_pinned(capsys, n, digest):
+    # md5 of the table text brandt --n 1..6 has always written
+    code, out, err = run(capsys, "brandt", "--n", str(n))
+    assert code == 0 and err == f"|B_{n}| = {n * n + 1}\n"
+    assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
 def test_usage_error_exits_one(capsys):

@@ -230,6 +230,21 @@ def test_restrict_requires_closed_subset(monoids, random_tables):
         assert all(type(v) is int for row in sub.product for v in row)
 
 
+def test_pick_returns_a_tuple_getter():
+    # the three kinds of table its callers pass: tuples, bytes and dicts
+    row, flags, index = (5, 6, 7), bytes([1, 0, 1]), {"0": 0, "1": 1, "2": 2}
+    assert core._pick([2])(row) == (7,)
+    assert core._pick((2, 0, 2))(row) == (7, 5, 7)
+    assert core._pick([1])(flags) == (0,)
+    assert core._pick([2, 0])(flags) == (1, 1)
+    assert core._pick(["1"])(index) == (1,)
+    assert core._pick(["2", "0"])(index) == (2, 0)
+    for keys, table, error in (([3], row, IndexError), ([0, 3], flags, IndexError),
+                               (["3"], index, KeyError), (["0", "3"], index, KeyError)):
+        with pytest.raises(error):
+            core._pick(keys)(table)
+
+
 def test_restrict_keeps_labels():
     t = SemigroupTable.from_rows([[0, 0], [0, 1]], labels=["z", "e"])
     sub = restrict(t, [1])
