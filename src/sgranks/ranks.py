@@ -684,14 +684,16 @@ def rank_report(
     r2 and the walk share one search context.  The budget, if any, applies to
     the one walk that finds both r3 and r4, timed from the start of the report;
     when it is cut short their records are inexact bounds and budget_exhausted
-    is set.  A found r3 is never below r2, but a cut walk may find no generating
-    set at all; then r3 steps down the chain to the r2 record, and r4 to r3's
-    if smaller (sound: a smallest generating set is independent), with the
-    method "chain-step", so the reported chain r1 <= r2 <= r3 <= r4 <= r5
-    always holds.  Every certificate is replayed through the core predicates
-    and the chain is re-checked; a failure raises.  When the walk splits at
-    the right zeros, unit_ranks holds r3 and r4 of the group of units from
-    the same walk (see _walk), which a caller that reads them replays.
+    is set.  r2 runs before the walk when it is asked for, and otherwise only
+    after a cut walk that found no generating set at all, as a found r3 is
+    never below r2 and r4 never below r3.  Then r3 steps down the chain to the
+    r2 record, and r4 to r3's if smaller (sound: a smallest generating set is
+    independent), with the method "chain-step", so the reported chain
+    r1 <= r2 <= r3 <= r4 <= r5 always holds.  Every certificate is replayed
+    through the core predicates and the chain is re-checked; a failure
+    raises.  When the walk splits at the right zeros, unit_ranks holds r3 and
+    r4 of the group of units from the same walk (see _walk), which a caller
+    that reads them replays.
     """
     wanted = set(RANK_KEYS) if which is None else set(which)
     unknown = wanted - set(RANK_KEYS)
@@ -703,19 +705,21 @@ def rank_report(
     unit_ranks = None
     if "r1" in wanted:
         found["r1"] = SearchOutcome(small_rank(table), None, method="fast-path")
-    if wanted & {"r2", "r3", "r4"}:
-        # r3/r4 may step down to the r2 record, so compute it for them too
+    if "r2" in wanted:
         found["r2"] = _lower_rank(s)
     if wanted & {"r3", "r4"}:
         found["r4"], found["r3"], unit_r4, unit_r3 = _walk(s)
         if unit_r4 is not None:
             unit_ranks = {"r3": unit_r3, "r4": unit_r4}
-        for key, below in (("r3", "r2"), ("r4", "r3")):
-            low = found[below]
-            if found[key].value < low.value:
-                found[key] = replace(
-                    found[key], value=low.value, witness=low.witness, method="chain-step"
-                )
+        if not found["r3"].witness:
+            # a cut walk found no generating set, so r3, and r4 if smaller, step
+            # down the chain to the r2 record; a walk that found one has r4 >= r3 >= r2
+            low = found.get("r2") or _lower_rank(s)
+            for key in ("r3", "r4"):
+                if found[key].value < low.value:
+                    found[key] = replace(
+                        found[key], value=low.value, witness=low.witness, method="chain-step"
+                    )
     if "r5" in wanted:
         value, prime = large_rank(table)
         found["r5"] = SearchOutcome(value, tuple(sorted(prime)))

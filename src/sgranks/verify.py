@@ -4,7 +4,10 @@ Every structural fact the rank shortcuts rely on is re-checked here from the
 composition table itself, one PASS/FAIL/SKIPPED line per claim.  Checks whose
 exhaustive regime ends below the requested n report SKIPPED rather than
 guessing.  The three product laws are checked exactly, over every word of
-every length, not on a sample of words, a row of the table at a time.
+every length, not on a sample of words: each is a fact about prime subsets
+and ideals of the table, decided on its two-letter products by
+core.is_prime_subset and one containment check.  Two prime subsets settle
+the claim that every generating set holds the constants, at every n.
 
 One walk serves every rank check.  End(B_n)'s r3 walk splits at its
 constants, the right zeros, and walks the unit ids, S_n, alone (see
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 
 from . import core, ranks, reference
 from .endo import (
-    AUTOMORPHISM,
-    NONZERO_CONSTANT,
     ORACLE_MAX_N,
     EndoMonoid,
     enumerate_endomorphisms_oracle,
@@ -133,111 +134,72 @@ def _check_aut_composition(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _word_law_holds(m: EndoMonoid, row_law) -> bool:
-    """Whether a law on products holds on every word over the ids, of any length.
-
-    row_law(x, row) tells whether the law holds on the N two-letter words
-    (x, a) for every a at once, row being x's row of products, so only the
-    N^2 two-letter words are checked.  A word w1...wk multiplies as the
-    left fold x*wk with x = w1...w(k-1), which lies in row x, so by
-    induction on k the rows settle every longer word; one-letter words
-    satisfy each law outright (the zero constant z is not a nonzero
-    constant).  Given the law on w1...w(k-1):
-    - automorphism-products: x is an automorphism exactly when w1..w(k-1) all
-      are, so the law on row x at column wk is the law on w1...wk;
-    - zero-products: x*wk = z forces x = z or wk = z, and x = z forces some
-      wi = z;
-    - nonzero-constant-products: the law on row x at column wk carries over,
-      except when x = z while some of w1..w(k-1) is a nonzero constant.  The
-      law then reads "z*wk is a nonzero constant exactly when z*wk != z",
-      which, given row z at column wk, holds exactly when z*a = z for each a
-      that is not a nonzero constant, so that check reads z's row too.  z is
-      not a two-sided zero: z*c = c for a nonzero constant c.
-    """
-    return all(map(row_law, range(len(m)), m.table.product))
+# Each product law below is a fact about the words w1...wk over the ids, of
+# every length, decided on the two-letter words alone.  A word multiplies as
+# the left fold x*wk with x = w1...w(k-1), so by induction on k each fact
+# passes from the pairs to every word: a prime subset P holds x*wk only when
+# it holds x or wk, and a set S whose rows and columns lie in K puts x*wk in
+# K when x or wk is in S.  A one-letter word satisfies each law outright.
 
 
-def _flags(member: bytes, row) -> int:
-    """member[b] for each entry b of row, one byte per column, as an int.
-
-    member holds a 0 or 1 per id.  The getter core._pick(row) looks the row
-    up in member in one C-level call, so it costs no Python frame and no
-    bytecode per entry, and two rows' flags compare, or mask each other,
-    column by column as one int.
-    """
-    return int.from_bytes(bytes(core._pick(row)(member)), "little")
+def _within(m: EndoMonoid, rows, columns, ids) -> bool:
+    """Whether every product x*a, x in rows and a in columns, lies in ids;
+    each row is read at the columns in one C-level call."""
+    pick = core._pick(columns)
+    return all(map(set(ids).issuperset, map(pick, core._pick(rows)(m.table.product))))
 
 
-def _kind_flags(m: EndoMonoid, kind: str) -> bytes:
-    return bytes(f.kind == kind for f in m.elements)
+def _nonzero_constants(m: EndoMonoid) -> list[int]:
+    return [c for c in m.constant_ids if c != m.zero_id]
 
 
 def _check_aut_products(m: EndoMonoid) -> CheckResult:
-    aut = _kind_flags(m, AUTOMORPHISM)
-    columns = int.from_bytes(aut, "little")
-
-    def row_law(x, row) -> bool:
-        # x*a is an automorphism exactly when x and a are
-        return _flags(aut, row) == (columns if aut[x] else 0)
-
+    # the constants K are prime and an ideal, their rows and columns in K, so
+    # a product is a constant exactly when some factor is
+    consts, every = m.constant_ids, range(len(m))
     return _result(
         "automorphism-products",
-        _word_law_holds(m, row_law),
+        core.is_prime_subset(consts, m.table)
+        and _within(m, consts, every, consts)
+        and _within(m, every, consts, consts),
         "a product is an automorphism exactly when every factor is",
     )
 
 
 def _check_zero_products(m: EndoMonoid) -> CheckResult:
-    z = m.zero_id
-
-    def row_law(x, row) -> bool:
-        # x*a = z only when x = z or a = z: z is in row x at most at column z
-        return x == z or row.count(z) == (row[z] == z)
-
     return _result(
         "zero-products",
-        _word_law_holds(m, row_law),
+        core.is_prime_subset([m.zero_id], m.table),
         "a product equals the zero constant only when some factor is the zero constant",
     )
 
 
 def _check_nonzero_constant_products(m: EndoMonoid) -> CheckResult:
-    z = m.zero_id
-    const = _kind_flags(m, NONZERO_CONSTANT)
-    # the ids that are a nonzero constant or z
-    settled = bytes(c or b == z for b, c in enumerate(const))
-    columns = int.from_bytes(const, "little")
-    every = int.from_bytes(bytes([1]) * len(m), "little")
-
-    def row_law(x, row) -> bool:
-        # x*a is a nonzero constant exactly when x*a != z and x or a is one.
-        # With want the columns a where x or a is one, that reads: x*a is a
-        # nonzero constant only in want, and in want it is one or z
-        want = every if const[x] else columns
-        return not _flags(const, row) & ~want and not want & ~_flags(settled, row)
-
-    zero_row = all(b == z or const[a] for a, b in enumerate(m.table.product[z]))
+    # the nonzero constants C are prime and their rows and columns lie in the
+    # constants, so x*wk is in C or is z when x or wk is in C.  That leaves
+    # x = z after a factor in C, which z*a = z for each a outside C settles:
+    # z is not a two-sided zero, as z*c = c for c in C
+    z, nonzero = m.zero_id, _nonzero_constants(m)
+    consts, every = m.constant_ids, range(len(m))
+    outside = [a for a in every if a not in nonzero]
     return _result(
         "nonzero-constant-products",
-        zero_row and _word_law_holds(m, row_law),
+        core.is_prime_subset(nonzero, m.table)
+        and _within(m, nonzero, every, consts)
+        and _within(m, every, nonzero, consts)
+        and _within(m, [z], outside, [z]),
         "a product is a nonzero constant exactly when a factor is one and the product is not the zero constant",
     )
 
 
-def _check_generating_sets_contain_constants(m: EndoMonoid, flags) -> CheckResult:
-    if flags is None:
-        return CheckResult(
-            "generating-sets-contain-constants", SKIPPED,
-            f"full subset enumeration capped at n <= 3, got n={m.n}",
-        )
-    # flags index the subsets by their masks over the ids
-    z = m.zero_id
-    nonzero = sum(1 << c for c in m.constant_ids) & ~(1 << z)
-    generating = [mask for mask, gen in enumerate(flags.generating) if gen]
+def _check_generating_sets_contain_constants(m: EndoMonoid) -> CheckResult:
+    # a generating set meets every prime subset P, as the ids outside P are
+    # closed and so generate no more than themselves
     return _result(
         "generating-sets-contain-constants",
-        all(mask >> z & 1 and mask & nonzero for mask in generating),
-        f"all {len(generating)} generating subsets contain the zero constant and a nonzero constant",
+        core.is_prime_subset([m.zero_id], m.table)
+        and core.is_prime_subset(_nonzero_constants(m), m.table),
+        "the zero constant alone and the nonzero constants are prime subsets, which every generating set meets",
     )
 
 
@@ -376,7 +338,7 @@ def run_checks(n: int, budget: ranks.Budget | None = None) -> list[CheckResult]:
         _check_aut_products(m),
         _check_zero_products(m),
         _check_nonzero_constant_products(m),
-        _check_generating_sets_contain_constants(m, flags),
+        _check_generating_sets_contain_constants(m),
         _check_independent_generating_bound(m, flags),
         _check_minimum_generating(m, found["r2"]),
         _check_independent_generating(m, found["r3"]),

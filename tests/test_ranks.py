@@ -696,6 +696,42 @@ def test_cut_report_text(monoids):
     )
 
 
+def spy_searches(monkeypatch):
+    """Patch the walk and r2 to log their names, in call order, to a list."""
+    calls = []
+    for name in ("_walk", "_lower_rank"):
+        def logged(s, search=getattr(ranks, name), name=name):
+            calls.append(name)
+            return search(s)
+        monkeypatch.setattr(ranks, name, logged)
+    return calls
+
+
+@pytest.mark.parametrize("which", [["r3"], ["r4"], ["r3", "r4"]])
+def test_complete_walk_runs_no_r2(monkeypatch, monoids, random_tables, which):
+    # a walk that found a generating set has r4 >= r3 >= r2, so r2, not asked
+    # for, does not run
+    calls = spy_searches(monkeypatch)
+    for table in [m.table for m in monoids.values()] + random_tables:
+        calls.clear()
+        report = rank_report(table, Budget(seconds=None), which=which)
+        assert not report.budget_exhausted
+        assert calls == ["_walk"]
+
+
+@pytest.mark.parametrize("which", [["r3"], ["r4"], ["r3", "r4"]])
+def test_walk_cut_before_any_generating_set_runs_r2_once(monkeypatch, monoids, which):
+    # at 3 nodes the walk of End(B_3) or End(B_4) has no generating set, and
+    # r3, and r4 after it, step down to the r2 record computed after the walk
+    calls = spy_searches(monkeypatch)
+    for n, witness in ((3, (1, 2, 6, 9)), (4, (1, 8, 24, 28))):
+        calls.clear()
+        report = rank_report(monoids[n].table, Budget(seconds=None, max_nodes=3), which=which)
+        assert calls == ["_walk", "_lower_rank"]
+        stepped = SearchOutcome(4, witness, False, "chain-step")
+        assert report.records == {key: stepped for key in which}
+
+
 # On End(B_2): the identity alone generates nothing else, the whole monoid is
 # not independent, and the identity is not prime, as (1 2)(1 2) = id.
 _FAILING_PRODUCERS = {

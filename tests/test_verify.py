@@ -1,12 +1,13 @@
 import copy
 import dataclasses
 import itertools
+import random
 from functools import reduce
 from types import SimpleNamespace
 
 import pytest
 
-from sgranks import ranks, verify
+from sgranks import ranks, reference, verify
 from sgranks.endo import (
     AUTOMORPHISM,
     NONZERO_CONSTANT,
@@ -40,7 +41,6 @@ def test_n4_skips_exhaustive_regimes_without_failing():
     named = by_name(results)
     assert not any(r.status == verify.FAIL for r in results)
     assert named["oracle-equivalence"].status == verify.SKIPPED
-    assert named["generating-sets-contain-constants"].status == verify.SKIPPED
     assert named["independent-generating-bound"].status == verify.SKIPPED
     # the structural claims still verify outright
     for name in (
@@ -48,6 +48,7 @@ def test_n4_skips_exhaustive_regimes_without_failing():
         "automorphism-products",
         "zero-products",
         "nonzero-constant-products",
+        "generating-sets-contain-constants",
         "independent-generating-size",
         "independent-set-lower-bound",
         "prime-subset-threshold",
@@ -219,7 +220,7 @@ FAULTS = {
     "aut-times-aut-is-constant": ((1, 2, 6), (verify.FAIL, verify.PASS, verify.FAIL)),
     "aut-times-constant-is-zero": ((1, 6, 9), (verify.PASS, verify.FAIL, verify.PASS)),
     "zero-times-aut-is-aut": ((9, 1, 2), (verify.FAIL, verify.PASS, verify.FAIL)),
-    # in the last columns, which the row checks must read too
+    # in the last columns, which the checks must read too
     "aut-times-constant-is-aut": ((1, 8, 2), (verify.FAIL, verify.PASS, verify.FAIL)),
     "constant-times-zero-is-aut": ((7, 9, 3), (verify.FAIL, verify.PASS, verify.FAIL)),
 }
@@ -256,6 +257,54 @@ def test_aut_composition_catches_a_planted_product(monoids, fault):
 def test_product_checks_match_every_short_word(monoids, n, fault):
     m = monoids[n] if fault is None else planted(monoids[n], *FAULTS[fault][0])
     assert product_statuses(m) == brute_force_statuses(m)
+
+
+# the longest words brute_force_statuses reads on End(B_n), and how many of
+# End(B_3)'s 900 single faults are drawn, by a seed, to keep the sweep short
+SWEEP_WORDS = {1: 5, 2: 4, 3: 3}
+SWEEP_SAMPLE = 200
+
+
+def single_faults(m):
+    """(x, a, value) for each product x*a set to each other id."""
+    p, ids = m.table.product, range(len(m))
+    return [(x, a, v) for x in ids for a in ids for v in ids if v != p[x][a]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_checks_match_every_single_planted_product(monoids, n):
+    # all 18 and 100 faults of End(B_1) and End(B_2), and a sample of End(B_3)'s
+    faults = single_faults(monoids[n])
+    if n == 3:
+        faults = random.Random(36).sample(faults, SWEEP_SAMPLE)
+    for fault in faults:
+        m = planted(monoids[n], *fault)
+        assert product_statuses(m) == brute_force_statuses(m, SWEEP_WORDS[n]), fault
+
+
+def every_generating_subset_holds_constants(m):
+    """The constants claim from its definition: each generating subset holds
+    the zero constant and meets the nonzero constants."""
+    z = m.zero_id
+    nonzero = sum(1 << c for c in m.constant_ids) & ~(1 << z)
+    flags = reference.subset_flags(m.table)
+    return all(mask >> z & 1 and mask & nonzero for mask, gen in enumerate(flags.generating) if gen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constants_claim_agrees_with_every_generating_subset(monoids, n):
+    # the claim's PASS, read off two prime subsets, against the subsets themselves
+    assert every_generating_subset_holds_constants(monoids[n])
+    assert verify._check_generating_sets_contain_constants(monoids[n]).status == verify.PASS
+
+
+@pytest.mark.parametrize("fault", ["aut-times-constant-is-zero", "aut-times-aut-is-constant"])
+def test_constants_claim_fails_when_a_prime_subset_breaks(monoids, fault):
+    # the first fault makes {z} not prime, the second the nonzero constants,
+    # and in both some generating subset misses them
+    m = planted(monoids[3], *FAULTS[fault][0])
+    assert not every_generating_subset_holds_constants(m)
+    assert verify._check_generating_sets_contain_constants(m).status == verify.FAIL
 
 
 def test_product_checks_pass_on_end_b5():
