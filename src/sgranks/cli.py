@@ -109,55 +109,55 @@ def build_parser() -> argparse.ArgumentParser:
 _PLAIN_INTS = {int}
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2), byte for byte, for the values the CLI writes.
+def _write_json(obj, out) -> None:
+    """Write json.dumps(obj, indent=2) and a newline to out, byte for byte,
+    for the values the CLI writes, part by part: no document string is built.
 
     json runs its pure-Python encoder whenever indent is set; this writer
     joins each list of plain ints (no bools) in one call and quotes strings
     with json's C quoter. Dicts must have str keys; any scalar other than
     str, int and None (bool, float) is written by json.dumps itself.
     """
-    parts: list[str] = []
-    _json_parts(obj, "\n", parts)
-    return "".join(parts)
+    _json_parts(obj, "\n", out.write)
+    out.write("\n")
 
 
-def _json_parts(o, nl: str, parts: list[str]) -> None:
+def _json_parts(o, nl: str, write) -> None:
     # nl is the newline and indent that close o; its members sit one step deeper
     kind = type(o)
     if kind is str:
-        parts.append(_quote(o))
+        write(_quote(o))
     elif kind is int:
-        parts.append(str(o))
+        write(str(o))
     elif o is None:
-        parts.append("null")
+        write("null")
     elif isinstance(o, dict):
         if not o:
-            parts.append("{}")
+            write("{}")
             return
         inner = nl + "  "
         sep, nxt = "{" + inner, "," + inner
         for k, v in o.items():
-            parts.append(sep + _quote(k) + ": ")
-            _json_parts(v, inner, parts)
+            write(sep + _quote(k) + ": ")
+            _json_parts(v, inner, write)
             sep = nxt
-        parts.append(nl + "}")
+        write(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
-            parts.append("[]")
+            write("[]")
             return
         inner = nl + "  "
         sep, nxt = "[" + inner, "," + inner
         if set(map(type, o)) == _PLAIN_INTS:
-            parts.append(sep + nxt.join(map(str, o)) + nl + "]")
+            write(sep + nxt.join(map(str, o)) + nl + "]")
             return
         for v in o:
-            parts.append(sep)
-            _json_parts(v, inner, parts)
+            write(sep)
+            _json_parts(v, inner, write)
             sep = nxt
-        parts.append(nl + "]")
+        write(nl + "]")
     else:
-        parts.append(json.dumps(o))
+        write(json.dumps(o))
 
 
 def _open_out(path: str | None):
@@ -188,11 +188,11 @@ def cmd_endo(args) -> int:
         else:
             monoid = enumerate_endomorphisms_structural(args.n)
         if args.json:
-            out.write(_json_text(monoid.sidecar()) + "\n")
+            _write_json(monoid.sidecar(), out)
         else:
             core.write_table_text(monoid.table, out)
             if sidecar:
-                side.write(_json_text(monoid.sidecar()) + "\n")
+                _write_json(monoid.sidecar(), side)
     _note(f"|End(B_{args.n})| = {len(monoid)}", stdout_taken=args.out is None)
     return EXIT_OK
 
@@ -241,7 +241,7 @@ def cmd_ranks(args) -> int:
         budget = ranks.Budget(seconds=args.budget)
         result = ranks.rank_report(table, budget=budget, n=n, which=which)
         if args.json:
-            out.write(_json_text(result.to_dict()) + "\n")
+            _write_json(result.to_dict(), out)
         else:
             out.write(result.format_text())
     return EXIT_OK
@@ -264,7 +264,7 @@ def cmd_conjecture(args) -> int:
     monoid = enumerate_endomorphisms_structural(args.n)
     report = ranks.verify_conjecture(args.n, budget=ranks.Budget(seconds=args.budget), monoid=monoid)
     if args.json:
-        print(_json_text(report.to_dict(monoid)))
+        _write_json(report.to_dict(monoid), sys.stdout)
     else:
         lab = monoid.table.label
         names = " ".join(lab(a) for a in report.witness)

@@ -446,7 +446,8 @@ def parse_table_text(text: str) -> SemigroupTable:
     entry's with its row and token.  An entry outside 0..N-1 gets
     SemigroupTable's out-of-range message.  The first faulty line decides:
     the rows in order, then the label line by its length and _check_labels,
-    then a line after it.
+    then a line after it.  Each row's line is dropped once the row is built,
+    so the lines and the finished rows are never all held at once.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -466,6 +467,7 @@ def parse_table_text(text: str) -> SemigroupTable:
     rows = []
     for i in range(1, n + 1):
         parts = lines[i].split()
+        lines[i] = None
         if len(parts) != n:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
         try:

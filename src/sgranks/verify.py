@@ -153,6 +153,12 @@ def _nonzero_constants(m: EndoMonoid) -> list[int]:
     return [c for c in m.constant_ids if c != m.zero_id]
 
 
+def _prime_constants(m: EndoMonoid) -> tuple[bool, bool]:
+    """Whether {z} and the nonzero constants are prime subsets, decided once
+    for the three checks that read them."""
+    return core.is_prime_subset([m.zero_id], m.table), core.is_prime_subset(_nonzero_constants(m), m.table)
+
+
 def _check_aut_products(m: EndoMonoid) -> CheckResult:
     # the constants K are prime and an ideal, their rows and columns in K, so
     # a product is a constant exactly when some factor is
@@ -166,15 +172,15 @@ def _check_aut_products(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _check_zero_products(m: EndoMonoid) -> CheckResult:
+def _check_zero_products(zero_prime: bool) -> CheckResult:
     return _result(
         "zero-products",
-        core.is_prime_subset([m.zero_id], m.table),
+        zero_prime,
         "a product equals the zero constant only when some factor is the zero constant",
     )
 
 
-def _check_nonzero_constant_products(m: EndoMonoid) -> CheckResult:
+def _check_nonzero_constant_products(m: EndoMonoid, nonzero_prime: bool) -> CheckResult:
     # the nonzero constants C are prime and their rows and columns lie in the
     # constants, so x*wk is in C or is z when x or wk is in C.  That leaves
     # x = z after a factor in C, which z*a = z for each a outside C settles:
@@ -184,7 +190,7 @@ def _check_nonzero_constant_products(m: EndoMonoid) -> CheckResult:
     outside = [a for a in every if a not in nonzero]
     return _result(
         "nonzero-constant-products",
-        core.is_prime_subset(nonzero, m.table)
+        nonzero_prime
         and _within(m, nonzero, every, consts)
         and _within(m, every, nonzero, consts)
         and _within(m, [z], outside, [z]),
@@ -192,13 +198,12 @@ def _check_nonzero_constant_products(m: EndoMonoid) -> CheckResult:
     )
 
 
-def _check_generating_sets_contain_constants(m: EndoMonoid) -> CheckResult:
+def _check_generating_sets_contain_constants(zero_prime: bool, nonzero_prime: bool) -> CheckResult:
     # a generating set meets every prime subset P, as the ids outside P are
     # closed and so generate no more than themselves
     return _result(
         "generating-sets-contain-constants",
-        core.is_prime_subset([m.zero_id], m.table)
-        and core.is_prime_subset(_nonzero_constants(m), m.table),
+        zero_prime and nonzero_prime,
         "the zero constant alone and the nonzero constants are prime subsets, which every generating set meets",
     )
 
@@ -330,15 +335,16 @@ def run_checks(n: int, budget: ranks.Budget | None = None) -> list[CheckResult]:
     report = ranks.rank_report(m.table, budget, n=n, which=("r2", "r3", "r5"))
     found = report.records
     flags = reference.subset_flags(m.table) if n <= 3 else None
+    zero_prime, nonzero_prime = _prime_constants(m)
     return [
         _check_monoid_structure(m),
         _check_associativity(m),
         _check_oracle(m),
         _check_aut_composition(m),
         _check_aut_products(m),
-        _check_zero_products(m),
-        _check_nonzero_constant_products(m),
-        _check_generating_sets_contain_constants(m),
+        _check_zero_products(zero_prime),
+        _check_nonzero_constant_products(m, nonzero_prime),
+        _check_generating_sets_contain_constants(zero_prime, nonzero_prime),
         _check_independent_generating_bound(m, flags),
         _check_minimum_generating(m, found["r2"]),
         _check_independent_generating(m, found["r3"]),

@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -390,7 +392,9 @@ def test_stdout_matches_golden(capsys, command, n):
 
 
 def assert_indent2(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    out = io.StringIO()
+    cli._write_json(obj, out)
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -414,6 +418,25 @@ def test_json_text_writes_rank_reports_as_json(random_tables):
 def test_json_text_writes_conjecture_reports_as_json(n):
     monoid = enumerate_endomorphisms_structural(n)
     assert_indent2(verify_conjecture(n, monoid=monoid).to_dict(monoid))
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_json_writer_builds_no_document_string():
+    # the parts go straight to the stream, so writing End(B_6)'s element list
+    # holds a small fraction of the document at any time
+    sidecar = enumerate_endomorphisms_structural(6).sidecar()
+    size = len(json.dumps(sidecar, indent=2))
+    tracemalloc.start()
+    try:
+        cli._write_json(sidecar, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 10
 
 
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -452,6 +453,20 @@ def test_text_format_row_count_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_text_format_parse_frees_each_row_line():
+    # a row's line is dropped once its row is built, so beside the finished
+    # rows parse holds far less than the text's lines
+    text = format_table_text(enumerate_endomorphisms_structural(6).table)
+    tracemalloc.start()
+    try:
+        table = parse_table_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = sys.getsizeof(table.product) + sum(map(sys.getsizeof, table.product))
+    assert peak - rows < len(text) / 2
 
 
 def test_table_construction_rejects_non_integer_entries():

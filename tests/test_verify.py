@@ -182,8 +182,17 @@ def test_spent_seconds_budget_skips_both_walks():
 
 
 def product_statuses(m):
-    checks = (verify._check_aut_products, verify._check_zero_products, verify._check_nonzero_constant_products)
-    return {r.name: r.status for r in (check(m) for check in checks)}
+    zero_prime, nonzero_prime = verify._prime_constants(m)
+    checks = (
+        verify._check_aut_products(m),
+        verify._check_zero_products(zero_prime),
+        verify._check_nonzero_constant_products(m, nonzero_prime),
+    )
+    return {r.name: r.status for r in checks}
+
+
+def constants_claim(m):
+    return verify._check_generating_sets_contain_constants(*verify._prime_constants(m))
 
 
 def planted(m, x, a, value):
@@ -295,7 +304,7 @@ def every_generating_subset_holds_constants(m):
 def test_constants_claim_agrees_with_every_generating_subset(monoids, n):
     # the claim's PASS, read off two prime subsets, against the subsets themselves
     assert every_generating_subset_holds_constants(monoids[n])
-    assert verify._check_generating_sets_contain_constants(monoids[n]).status == verify.PASS
+    assert constants_claim(monoids[n]).status == verify.PASS
 
 
 @pytest.mark.parametrize("fault", ["aut-times-constant-is-zero", "aut-times-aut-is-constant"])
@@ -304,7 +313,7 @@ def test_constants_claim_fails_when_a_prime_subset_breaks(monoids, fault):
     # and in both some generating subset misses them
     m = planted(monoids[3], *FAULTS[fault][0])
     assert not every_generating_subset_holds_constants(m)
-    assert verify._check_generating_sets_contain_constants(m).status == verify.FAIL
+    assert constants_claim(m).status == verify.FAIL
 
 
 def test_product_checks_pass_on_end_b5():
