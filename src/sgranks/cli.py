@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import brandt, core, ranks, verify
 from .core import ResourceLimitError
-from .endo import EndoMonoid, enumerate_endomorphisms_oracle, enumerate_endomorphisms_structural
+from .endo import enumerate_endomorphisms_structural
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_endo.add_argument("--n", type=_positive_int, required=True)
     p_endo.add_argument("--out", help="write the table here (element list goes to PATH.json)")
     p_endo.add_argument("--json", action="store_true", help="print the element list as JSON")
-    p_endo.add_argument(
-        "--oracle",
-        action="store_true",
-        help="enumerate by exhaustive backtracking (n <= 3) instead of structurally",
-    )
 
     p_ranks = sub.add_parser("ranks", help="compute r1..r5 with certificates")
     target = p_ranks.add_mutually_exclusive_group(required=True)
@@ -183,10 +178,7 @@ def cmd_endo(args) -> int:
     with _open_out(args.out) as out, (
         _open_out(args.out + ".json") if sidecar else contextlib.nullcontext()
     ) as side:
-        if args.oracle:
-            monoid = EndoMonoid(args.n, enumerate_endomorphisms_oracle(args.n))
-        else:
-            monoid = enumerate_endomorphisms_structural(args.n)
+        monoid = enumerate_endomorphisms_structural(args.n)
         if args.json:
             _write_json(monoid.sidecar(), out)
         else:

@@ -150,15 +150,6 @@ def test_endo_json_prints_the_element_list(capsys, monoids):
     assert err == "|End(B_2)| = 5\n"
 
 
-def test_endo_oracle_flag(capsys, monoids):
-    code, out, _ = run(capsys, "endo", "--n", "2", "--oracle")
-    assert code == 0
-    assert parse_table_text(out) == monoids[2].table
-    code, _, err = run(capsys, "endo", "--n", "4", "--oracle")
-    assert code == 1 and "cap" in err
-    assert err == "sgranks endo: n=4 exceeds the oracle enumeration cap n <= 3\n"
-
-
 @pytest.mark.parametrize("command", ["endo", "ranks", "verify", "conjecture"])
 def test_enumeration_cap_exits_one(capsys, command):
     code, out, err = run(capsys, command, "--n", "7")

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sgranks import ranks, reference, verify
+from sgranks import endo, ranks, reference, verify
 from sgranks.endo import (
     AUTOMORPHISM,
     NONZERO_CONSTANT,
@@ -55,6 +55,45 @@ def test_n4_skips_exhaustive_regimes_without_failing():
         "symmetric-group-ranks",
     ):
         assert named[name].status == verify.PASS, name
+
+
+@pytest.fixture
+def oracle_uncapped(monkeypatch):
+    # verify imports the cap by name, so both modules' copies are lifted
+    for module in (endo, verify):
+        monkeypatch.setattr(module, "ORACLE_MAX_N", 5)
+
+
+@pytest.mark.parametrize("n, size", [(4, 29), (5, 126)])
+def test_oracle_check_passes_past_its_cap(oracle_uncapped, n, size):
+    # the comparison verify prints for n <= 3, run on End(B_4) and End(B_5)
+    assert verify._check_oracle(enumerate_endomorphisms_structural(n)) == verify.CheckResult(
+        "oracle-equivalence", verify.PASS,
+        f"backtracking found {size} multiplicative self-maps, structural list has {size}",
+    )
+
+
+class _Listed:
+    """What _check_oracle reads of a monoid: n and the element list."""
+
+    def __init__(self, n, elements):
+        self.n, self.elements = n, tuple(elements)
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def test_oracle_check_fails_on_a_missing_or_changed_map(oracle_uncapped, monoids):
+    elements = list(monoids[4].elements)
+    f = elements[5]
+    image = list(f.image)
+    image[-1] = (image[-1] + 1) % len(image)
+    changed = elements[:5] + [dataclasses.replace(f, image=tuple(image))] + elements[6:]
+    for listed, size in ((elements[:5] + elements[6:], 28), (changed, 29)):
+        assert verify._check_oracle(_Listed(4, listed)) == verify.CheckResult(
+            "oracle-equivalence", verify.FAIL,
+            f"backtracking found 29 multiplicative self-maps, structural list has {size}",
+        )
 
 
 def test_n1_degenerate_checks():
